@@ -226,6 +226,10 @@ pub fn sessions(args: &[String]) -> Result<(), String> {
     }
     println!("session  fmt  expected  records  state      completeness  journal");
     for (stem, card) in &cards {
+        let card = match journals.get(stem) {
+            Some((_, Ok((_, rep)))) => card.with_sealed(rep.records_recovered as u64),
+            _ => card.clone(),
+        };
         let fmt = match journals.get(stem) {
             Some((v, _)) if *v > 0 => format!("v{v}"),
             _ => "?".to_string(),

@@ -6,14 +6,19 @@
 //! bounded ingest queue, which makes every soak — including the ones
 //! that kill the collector mid-segment — bit-for-bit reproducible.
 //!
-//! Durability contract: a record is *durable* once its segment seals,
-//! at which point the sealed journal prefix is flushed to
-//! `sessNNN.iotj` and the sealed count lands in `sessNNN.card`. A
+//! Durability contract: a record is *durable* once its segment seals.
+//! Sealing appends just that segment to the session's append-only spool
+//! `sessNNN.iotj` and `fdatasync`s it; only then does the `Sealed` ack
+//! go out. Nothing already on disk is ever rewritten, so a seal costs
+//! the same at the millionth record as at the first, and a crash at any
+//! byte of an append cannot damage a prefix that was acked. The card
+//! `sessNNN.card` is replaced atomically on state transitions only
+//! (handshake, close, disconnect, drain, migration), never per seal. A
 //! collector kill loses at most the unsealed tail of each session, and
-//! the torn journal left behind is exactly what
-//! [`fsck_journal`] recovers. Stats fold incrementally as segments
-//! seal, so `stats` and `hotspots` answers are available mid-capture
-//! without re-reading any spool file.
+//! the torn journal left behind is exactly what [`fsck_journal`]
+//! recovers. Stats fold incrementally as segments seal, so `stats` and
+//! `hotspots` answers are available mid-capture without re-reading any
+//! spool file.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -22,7 +27,8 @@ use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
 use iotrace_analysis::stats::TraceStats;
 use iotrace_model::intern::Interner;
 
-use iotrace_model::journal::{fsck_journal, JournalWriter};
+use iotrace_model::journal::{fsck_journal, journal_version, read_journal};
+use iotrace_model::spill::SpillWriter;
 
 use crate::proto::{decode_frame, Frame, ProtoError};
 use crate::queue::BoundedQueue;
@@ -228,18 +234,21 @@ impl Collector {
                 }
                 let id = self.next_session;
                 self.next_session += 1;
-                let mut sess = Session::new(
-                    id,
-                    meta,
-                    expected_records,
-                    self.cfg.segment_records,
-                    self.cfg.v2_spool,
-                );
+                let mut sess = Session::new(id, meta, expected_records);
                 sess.state = SessionState::Streaming;
+                let version = if self.cfg.v2_spool { 2 } else { 1 };
+                let seg = self.cfg.segment_records;
+                let path = self.spool_path(id);
+                let mut spool = SpillWriter::create_versioned(&path, &sess.meta, version, seg, seg)
+                    .map_err(|e| format!("create {}: {e}", path.display()))?;
+                spool
+                    .sync()
+                    .map_err(|e| format!("sync {}: {e}", path.display()))?;
+                sess.spool = Some(spool);
                 // Persist the expectation *before* any record lands: the
-                // card is what makes post-crash completeness exact.
-                self.persist_card(&sess)?;
-                self.persist_journal(&sess)?;
+                // card is what makes post-crash completeness exact. Its
+                // directory fsync also makes the new spool's name durable.
+                sess.card().write(&self.dir)?;
                 self.sessions.insert(id, sess);
                 self.client_session.insert(client, id);
                 self.outbox.push((client, Frame::HelloAck { session: id }));
@@ -265,7 +274,10 @@ impl Collector {
                     sess.last_seq = seq;
                     sess.appended += records.len() as u64;
                     sess.unfolded.extend_from_slice(&records);
-                    sess.writer.append_all(&records);
+                    let spool = sess.spool.as_mut().expect("streaming session has a spool");
+                    spool
+                        .append_all(records)
+                        .map_err(|e| format!("append {}: {e}", spool.path().display()))?;
                 }
                 let sealed = self.fold_sealed(sid)?;
                 self.outbox.push((client, Frame::Ack { seq }));
@@ -282,13 +294,12 @@ impl Collector {
                     self.outbox.push((client, Frame::Busy { queue_len: 0 }));
                     return Ok(());
                 }
-                let clean = {
-                    let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-                    sess.state = SessionState::Sealing;
-                    sess.writer.seal_segment();
-                    frames_sent == sess.last_seq
-                };
-                self.fold_sealed(sid)?;
+                self.sessions
+                    .get_mut(&sid)
+                    .expect("routed session exists")
+                    .state = SessionState::Sealing;
+                self.seal_early(sid)?;
+                let clean = frames_sent == self.sessions[&sid].last_seq;
                 let records = {
                     let sess = self.sessions.get_mut(&sid).expect("routed session exists");
                     let complete = sess.expected == 0 || sess.sealed() >= sess.expected;
@@ -299,9 +310,7 @@ impl Collector {
                     };
                     sess.sealed()
                 };
-                let sess = &self.sessions[&sid];
-                self.persist_journal(sess)?;
-                self.persist_card(sess)?;
+                self.sessions[&sid].card().write(&self.dir)?;
                 self.client_session.remove(&client);
                 self.outbox.push((client, Frame::ByeAck { records }));
                 Ok(())
@@ -322,22 +331,14 @@ impl Collector {
                 // source spool whole.
                 let id = self.next_session;
                 self.next_session += 1;
-                let mut sess = Session::new(
-                    id,
-                    meta,
-                    expected,
-                    self.cfg.segment_records,
-                    self.cfg.v2_spool,
-                );
+                let mut sess = Session::new(id, meta, expected);
                 sess.state = SessionState::Migrating;
                 sess.last_seq = last_seq;
                 sess.origin = Some(origin);
                 sess.recv = Some(HandoffRecv {
-                    buf: Vec::new(),
                     next_chunk: 1,
                     total_chunks: chunks,
                     promised: sealed_records,
-                    records: 0,
                 });
                 self.sessions.insert(id, sess);
                 self.outbox.push((
@@ -365,11 +366,14 @@ impl Collector {
         }
     }
 
-    /// Apply one handoff chunk to a `Migrating` stand-in session.
-    /// Chunks ship along journal structure, so the accumulated buffer is
-    /// a valid sealed journal after every chunk; it is persisted (with
-    /// its card) before the ack goes out — the exactly-once durability
-    /// the source relies on when it deletes its copy.
+    /// Apply one handoff chunk to a `Migrating` stand-in session. The
+    /// header chunk opens the stand-in's spool in the source's container
+    /// version; every later chunk is verified and appended as is. Chunks
+    /// ship along journal structure, so the spool is a valid sealed
+    /// journal after every chunk; it is synced (and, on the first and
+    /// last chunk, the card replaced) before the ack goes out — the
+    /// exactly-once durability the source relies on when it deletes its
+    /// copy.
     fn apply_handoff(
         &mut self,
         client: u32,
@@ -377,6 +381,8 @@ impl Collector {
         seq: u64,
         chunk: &[u8],
     ) -> Result<(), String> {
+        let path = self.spool_path(session);
+        let seg = self.cfg.segment_records;
         let Some(sess) = self.sessions.get_mut(&session) else {
             return self.disconnect(client, "Handoff for unknown session");
         };
@@ -387,7 +393,7 @@ impl Collector {
         if seq + 1 == recv.next_chunk {
             // Duplicate of the chunk we just persisted (retried offer):
             // re-ack, don't re-append.
-            let records = recv.records;
+            let records = sess.spool.as_ref().map_or(0, |w| w.sealed_records());
             self.outbox.push((
                 client,
                 Frame::HandoffAck {
@@ -404,17 +410,34 @@ impl Collector {
                 recv.next_chunk
             ));
         }
-        recv.buf.extend_from_slice(chunk);
+        let io = |e: std::io::Error| format!("handoff chunk {seq} to {}: {e}", path.display());
+        let spool = match sess.spool.as_mut() {
+            Some(spool) => {
+                spool.append_sealed(chunk).map_err(io)?;
+                spool
+            }
+            None => {
+                let (head, rep) = fsck_journal(chunk)
+                    .map_err(|e| format!("handoff chunk {seq} is not a journal header: {e}"))?;
+                let version = journal_version(chunk).expect("fsck read the version byte");
+                if rep.is_damaged() || rep.segments_recovered > 0 {
+                    return Err(format!(
+                        "handoff chunk {seq} of session {session} is not a bare journal header"
+                    ));
+                }
+                let spool = SpillWriter::create_versioned(&path, &head.meta, version, seg, seg)
+                    .map_err(io)?;
+                if spool.spooled_bytes() != chunk.len() as u64 {
+                    return Err(format!(
+                        "handoff header of session {session} does not re-encode byte for byte"
+                    ));
+                }
+                sess.spool.insert(spool)
+            }
+        };
+        spool.sync().map_err(io)?;
+        let records = spool.sealed_records();
         recv.next_chunk += 1;
-        let (trace, rep) = fsck_journal(&recv.buf)
-            .map_err(|e| format!("handoff chunk {seq} is not a journal prefix: {e}"))?;
-        if rep.is_damaged() || rep.torn_tail_bytes > 0 {
-            return Err(format!(
-                "handoff chunk {seq} left a damaged prefix on session {session}"
-            ));
-        }
-        recv.records = rep.records_recovered as u64;
-        let records = recv.records;
         let done = recv.next_chunk > recv.total_chunks;
         if done && records != recv.promised {
             return Err(format!(
@@ -422,25 +445,24 @@ impl Collector {
                 records, recv.promised
             ));
         }
-        // Persist the (always-valid) prefix before acking.
-        let path = self.dir.join(format!("{}.iotj", session_stem(session)));
-        std::fs::write(&path, &recv.buf).map_err(|e| format!("write {}: {e}", path.display()))?;
         if done {
-            let buf = std::mem::take(&mut recv.buf);
-            sess.writer = JournalWriter::resume(buf, self.cfg.segment_records)
-                .map_err(|e| format!("resume migrated session {session}: {e:?}"))?;
+            // Fold the shipped records into this collector's live stats
+            // so `stats`/`hotspots` cover the whole session from here
+            // on, reading them back once from the synced spool.
+            let bytes = std::fs::read(&path).map_err(io)?;
+            let trace = read_journal(&bytes)
+                .map_err(|e| format!("migrated session {session} reads back torn: {e}"))?;
             sess.appended = records;
             sess.folded = records;
             sess.recv = None;
             sess.state = SessionState::Streaming;
-            // Fold the shipped records into this collector's live stats
-            // so `stats`/`hotspots` cover the whole session from here on.
             self.stats.merge(&TraceStats::from_records(&trace.records));
             self.path_fold.fold(&trace.records, &mut self.paths);
             self.folded_records += records;
         }
-        let sess = &self.sessions[&session];
-        self.persist_card(sess)?;
+        if seq == 1 || done {
+            self.sessions[&session].card().write(&self.dir)?;
+        }
         self.outbox.push((
             client,
             Frame::HandoffAck {
@@ -452,11 +474,11 @@ impl Collector {
         Ok(())
     }
 
-    /// Source side of a handoff: seal `client`'s live session, fold and
-    /// persist the now-final spool, and put the session into `Draining`.
-    /// Returns the session id and the complete sealed journal bytes for
-    /// the migration driver to ship, or `None` when the client has no
-    /// streaming session.
+    /// Source side of a handoff: seal `client`'s live session, sync the
+    /// now-final spool, and put the session into `Draining`. Returns the
+    /// session id and the complete sealed journal, read back from the
+    /// synced spool, for the migration driver to ship — or `None` when
+    /// the client has no streaming session.
     pub fn begin_drain(&mut self, client: u32) -> Result<Option<(u32, Vec<u8>)>, String> {
         let Some(&sid) = self.client_session.get(&client) else {
             return Ok(None);
@@ -464,18 +486,12 @@ impl Collector {
         if self.sessions[&sid].state != SessionState::Streaming {
             return Ok(None);
         }
-        self.sessions
-            .get_mut(&sid)
-            .expect("routed session exists")
-            .writer
-            .seal_segment();
-        self.fold_sealed(sid)?;
+        self.seal_early(sid)?;
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         sess.state = SessionState::Draining;
-        let bytes = sess.writer.sealed_bytes().to_vec();
-        let sess = &self.sessions[&sid];
-        self.persist_journal(sess)?;
-        self.persist_card(sess)?;
+        sess.card().write(&self.dir)?;
+        let path = self.spool_path(sid);
+        let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Ok(Some((sid, bytes)))
     }
 
@@ -490,8 +506,7 @@ impl Collector {
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         if sess.state == SessionState::Draining {
             sess.state = SessionState::Streaming;
-            let sess = &self.sessions[&sid];
-            self.persist_card(sess)?;
+            sess.card().write(&self.dir)?;
         }
         Ok(())
     }
@@ -547,16 +562,12 @@ impl Collector {
     /// A client vanished (torn frame, protocol violation, or idle
     /// sweep): seal whatever arrived, mark the session `Degraded`
     /// (or `Closed` when everything expected had already landed), and
-    /// persist both spool files.
+    /// replace its card.
     pub fn disconnect(&mut self, client: u32, _why: &str) -> Result<(), String> {
         let Some(sid) = self.client_session.remove(&client) else {
             return Ok(());
         };
-        {
-            let sess = self.sessions.get_mut(&sid).expect("routed session exists");
-            sess.writer.seal_segment();
-        }
-        self.fold_sealed(sid)?;
+        self.seal_early(sid)?;
         let sess = self.sessions.get_mut(&sid).expect("routed session exists");
         let complete = sess.expected > 0 && sess.sealed() >= sess.expected;
         sess.state = if complete {
@@ -564,9 +575,7 @@ impl Collector {
         } else {
             SessionState::Degraded
         };
-        let sess = &self.sessions[&sid];
-        self.persist_journal(sess)?;
-        self.persist_card(sess)?;
+        sess.card().write(&self.dir)?;
         Ok(())
     }
 
@@ -580,69 +589,63 @@ impl Collector {
         Ok(())
     }
 
-    /// Simulate the collector process dying right now: flush each live
-    /// session's journal in its torn on-disk form (sealed prefix + the
-    /// dangling tail a crash leaves) and stop accepting work. Cards are
-    /// deliberately *not* rewritten — a crash doesn't get to tidy up.
+    /// Simulate the collector process dying right now: every live
+    /// session's spool gets the torn tail of an append cut short by the
+    /// crash (everything before it was synced when it was acked), and
+    /// the collector stops accepting work. Cards are deliberately *not*
+    /// rewritten — a crash doesn't get to tidy up.
     pub fn kill(&mut self) -> Result<(), String> {
-        for sess in self.sessions.values() {
-            // A Migrating stand-in's writer is a placeholder — its real
-            // durable state is the handoff prefix already persisted per
-            // chunk. Writing the placeholder's torn form would clobber
-            // shipped data, so the crash leaves the prefix alone.
-            if sess.state == SessionState::Migrating {
+        for sess in self.sessions.values_mut() {
+            if sess.state.is_terminal() {
                 continue;
             }
-            if !sess.state.is_terminal() {
-                let path = self.dir.join(format!("{}.iotj", session_stem(sess.id)));
-                std::fs::write(&path, sess.writer.torn())
-                    .map_err(|e| format!("write {}: {e}", path.display()))?;
+            if let Some(spool) = sess.spool.as_mut() {
+                spool
+                    .tear()
+                    .map_err(|e| format!("write {}: {e}", spool.path().display()))?;
             }
         }
         self.killed = true;
         Ok(())
     }
 
-    /// Fold any newly sealed records of session `sid` into the running
-    /// stats and flush the sealed journal prefix. Returns the new
-    /// durable watermark if it moved.
-    fn fold_sealed(&mut self, sid: u32) -> Result<Option<u64>, String> {
-        let (delta, watermark) = {
-            let sess = self.sessions.get_mut(&sid).expect("session exists");
-            let sealed = sess.sealed();
-            let delta = (sealed - sess.folded) as usize;
-            if delta == 0 {
-                return Ok(None);
-            }
-            let batch: Vec<_> = sess.unfolded.drain(..delta).collect();
-            sess.folded = sealed;
-            (batch, sealed)
-        };
-        self.stats.merge(&TraceStats::from_records(&delta));
-        self.path_fold.fold(&delta, &mut self.paths);
-        self.folded_records += delta.len() as u64;
-        let sess = &self.sessions[&sid];
-        if !sess.state.is_terminal() {
-            self.persist_journal(sess)?;
-            self.persist_card(sess)?;
+    fn spool_path(&self, id: u32) -> PathBuf {
+        self.dir.join(format!("{}.iotj", session_stem(id)))
+    }
+
+    /// Seal session `sid`'s pending records early, as a short segment
+    /// (close, disconnect, drain), and fold them.
+    fn seal_early(&mut self, sid: u32) -> Result<(), String> {
+        let sess = self.sessions.get_mut(&sid).expect("session exists");
+        if let Some(spool) = sess.spool.as_mut() {
+            spool
+                .seal_segment()
+                .map_err(|e| format!("append {}: {e}", spool.path().display()))?;
         }
-        Ok(Some(watermark))
+        self.fold_sealed(sid).map(|_| ())
     }
 
-    /// Flush the sealed journal prefix. While streaming this is the
-    /// durable prefix a crash preserves; once a session seals its final
-    /// segment the same bytes *are* the finished, strictly readable
-    /// journal.
-    fn persist_journal(&self, sess: &Session) -> Result<(), String> {
-        let path = self.dir.join(format!("{}.iotj", session_stem(sess.id)));
-        std::fs::write(&path, sess.writer.sealed_bytes())
-            .map_err(|e| format!("write {}: {e}", path.display()))
-    }
-
-    fn persist_card(&self, sess: &Session) -> Result<(), String> {
-        let path = self.dir.join(format!("{}.card", session_stem(sess.id)));
-        std::fs::write(&path, format!("{}\n", sess.card().to_line()))
-            .map_err(|e| format!("write {}: {e}", path.display()))
+    /// Sync and fold any newly sealed records of session `sid` into the
+    /// running stats. Returns the new durable watermark if it moved —
+    /// by then synced, so the caller may ack it `Sealed`.
+    fn fold_sealed(&mut self, sid: u32) -> Result<Option<u64>, String> {
+        let sess = self.sessions.get_mut(&sid).expect("session exists");
+        let sealed = sess.sealed();
+        let delta = (sealed - sess.folded) as usize;
+        if delta == 0 {
+            return Ok(None);
+        }
+        let spool = sess.spool.as_mut().expect("sealed records imply a spool");
+        spool
+            .sync()
+            .map_err(|e| format!("sync {}: {e}", spool.path().display()))?;
+        let batch = &sess.unfolded[..delta];
+        self.stats.merge(&TraceStats::from_records(batch));
+        self.path_fold.fold(batch, &mut self.paths);
+        sess.unfolded.drain(..delta);
+        sess.folded = sealed;
+        self.folded_records += delta as u64;
+        Ok(Some(sealed))
     }
 
     /// The incrementally folded stats — valid mid-capture, covering
@@ -672,7 +675,7 @@ impl Collector {
                 state: s.state,
                 expected: s.expected,
                 appended: s.appended,
-                sealed: s.durable(),
+                sealed: s.sealed(),
                 completeness: s.completeness(),
             })
             .collect()

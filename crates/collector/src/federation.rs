@@ -8,7 +8,7 @@
 //! [`Migration`] for the frame sequence),
 //! and either collector can be killed at any frame of the handoff.
 //! Because chunks ship along sealed-segment boundaries and the
-//! destination persists journal + card before every `HandoffAck`,
+//! destination appends and syncs every chunk before its `HandoffAck`,
 //! exactly one durable copy of the session exists at every instant —
 //! which is what lets [`recover_spools`] reunite a session split across
 //! two spool directories into a single recovered journal that is
@@ -45,7 +45,7 @@ use crate::client::{ClientPhase, SimClient};
 use crate::collector::Collector;
 use crate::migrate::{Migration, PEER_CLIENT_BASE};
 use crate::recovery::{read_card, recover_spool, spool_journals, RecoveryReport};
-use crate::session::SessionState;
+use crate::session::{write_atomic, SessionState};
 use crate::soak::{SessionOutcome, SoakConfig};
 
 /// Knobs for one federation run: the per-collector soak knobs plus the
@@ -624,8 +624,7 @@ pub fn recover_spools(
                 .map(|(_, r)| r.records_recovered)
                 .unwrap_or(0);
             if src_n > dest_n {
-                std::fs::write(&dest_path, &src_bytes)
-                    .map_err(|e| format!("write {}: {e}", dest_path.display()))?;
+                write_atomic(&dest_path, &src_bytes)?;
             }
             for ext in ["iotj", "card"] {
                 let p = src_dir.join(format!("{stem}.{ext}"));
@@ -701,8 +700,7 @@ pub fn recover_federation(
             ));
         }
     }
-    std::fs::write(root.join("merged.digest"), digest_file)
-        .map_err(|e| format!("write merged.digest: {e}"))?;
+    write_atomic(&root.join("merged.digest"), digest_file.as_bytes())?;
     Ok(rec)
 }
 
@@ -731,13 +729,13 @@ pub fn federation_sessions(root: &Path) -> Result<Vec<FederationSessionRow>, Str
             let path = dir.join(&name);
             let bytes =
                 std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-            let card = read_card(&dir, &name);
             let fsck = fsck_journal(&bytes).ok();
-            let records = card
-                .as_ref()
-                .map(|c| c.records)
-                .or_else(|| fsck.as_ref().map(|(_, r)| r.records_recovered as u64))
-                .unwrap_or(0);
+            let sealed = fsck.as_ref().map(|(_, r)| r.records_recovered as u64);
+            let card = read_card(&dir, &name).map(|c| match sealed {
+                Some(n) => c.with_sealed(n),
+                None => c,
+            });
+            let records = card.as_ref().map(|c| c.records).or(sealed).unwrap_or(0);
             rows.push(FederationSessionRow {
                 collector: coll.clone(),
                 file: name,
@@ -1083,6 +1081,53 @@ mod tests {
         assert_eq!(hot_named, bhot_named);
         let _ = std::fs::remove_dir_all(&root);
         let _ = std::fs::remove_dir_all(&sroot);
+    }
+
+    #[test]
+    fn federation_sessions_counts_a_live_session_from_its_journal() {
+        use crate::proto::{encode_frame, Frame};
+        let root = tmpdir("live-rows");
+        let da = root.join("coll-a");
+        let mut a = Collector::open(
+            &da,
+            CollectorConfig {
+                segment_records: 8,
+                drain_per_tick: 16,
+                ..CollectorConfig::default()
+            },
+        )
+        .unwrap();
+        let input = &synth_client_traces(1, 36, 5)[0];
+        a.offer(
+            0,
+            encode_frame(&Frame::Hello {
+                meta: input.meta.clone(),
+                expected_records: 64,
+            }),
+        )
+        .unwrap();
+        for (i, chunk) in input.records.chunks(12).enumerate() {
+            a.offer(
+                0,
+                encode_frame(&Frame::Records {
+                    seq: i as u64 + 1,
+                    records: chunk.to_vec(),
+                }),
+            )
+            .unwrap();
+        }
+        a.drain(16, None).unwrap();
+        // Mid-capture: 32 records sealed in 4 segments, 4 pending, and
+        // the card still says what it said at the handshake.
+        let card = read_card(&da, "sess000.iotj").unwrap();
+        assert_eq!((card.state, card.records), (SessionState::Streaming, 0));
+        let rows = federation_sessions(&root).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].state, "streaming");
+        assert_eq!(rows[0].records, 32, "a live row counts the sealed prefix");
+        assert_eq!(rows[0].expected, 64);
+        assert_eq!(rows[0].completeness, 0.5);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -7,17 +7,17 @@
 //! source                                destination
 //!   │── Migrate {meta, expected, …} ──────▶│  open Migrating stand-in
 //!   │◀──────────── MigrateAck {session} ───│
-//!   │── Handoff {seq=1, header bytes} ────▶│  persist prefix, card
+//!   │── Handoff {seq=1, header bytes} ────▶│  create spool, sync, card
 //!   │◀──────── HandoffAck {seq=1, recs} ───│
 //!   │── Handoff {seq=2, segment 1} ───────▶│  …
-//!   │── Handoff {seq=N, segment N-1} ─────▶│  verify count, resume
-//!   │◀──────── HandoffAck {seq=N, recs} ───│  writer, → Streaming
+//!   │── Handoff {seq=N, segment N-1} ─────▶│  append, sync, verify
+//!   │◀──────── HandoffAck {seq=N, recs} ───│  count, → Streaming
 //!   │  delete local copy; client rebinds to the destination
 //! ```
 //!
 //! Chunks follow journal structure ([`split_journal`]): chunk 1 is the
 //! IOTJ header, every later chunk one sealed segment — so the
-//! destination's persisted prefix is a valid journal after *every*
+//! destination's appended spool is a valid journal after *every*
 //! chunk, and killing either side between any two frames tears nothing.
 //! The driver offers at most one frame per tick, honours `Busy`
 //! refusals with the same jittered backoff clients use, and — unlike a

@@ -19,7 +19,10 @@
 //!
 //! Recovery is idempotent and deterministic: running it twice — or on
 //! two copies of the same torn spool — produces byte-identical
-//! journals, cards, and `merged.digest`.
+//! journals, cards, and `merged.digest`. Every rewrite goes through
+//! [`write_atomic`], so a crash during recovery leaves each file either
+//! as it was or as recovered — never truncated, never losing the sealed
+//! prefix recovery exists to save.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -31,7 +34,7 @@ use iotrace_model::journal::{
     encode_journal_versioned, fsck_journal, journal_version, read_journal, records_digest,
 };
 
-use crate::session::{session_stem, SessionCard, SessionState};
+use crate::session::{write_atomic, SessionCard, SessionState};
 
 /// One journal's recovery outcome.
 #[derive(Clone, Debug)]
@@ -231,22 +234,19 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             // Rewrite the orphan in the same container version it was
             // spooled with, so a v2 spool stays v2 across recovery.
             let version = journal_version(&bytes).unwrap_or(1);
-            std::fs::write(
+            write_atomic(
                 &path,
-                encode_journal_versioned(&trace, segment_records, version),
-            )
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
-            let new_card = SessionCard {
+                &encode_journal_versioned(&trace, segment_records, version),
+            )?;
+            SessionCard {
                 session,
                 expected,
                 state,
                 records: recovered,
                 completeness,
                 origin: origin.clone(),
-            };
-            let card_path = dir.join(format!("{}.card", session_stem(session)));
-            std::fs::write(&card_path, format!("{}\n", new_card.to_line()))
-                .map_err(|e| format!("write {}: {e}", card_path.display()))?;
+            }
+            .write(dir)?;
             (true, state, completeness)
         };
         rows.push(RecoveryRow {
@@ -288,8 +288,7 @@ pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryRepor
             r.file, r.recovered, r.completeness, r.state
         ));
     }
-    std::fs::write(dir.join("merged.digest"), digest_file)
-        .map_err(|e| format!("write merged.digest: {e}"))?;
+    write_atomic(&dir.join("merged.digest"), digest_file.as_bytes())?;
     Ok(RecoveryReport {
         rows,
         total_records,

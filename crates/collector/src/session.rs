@@ -17,16 +17,27 @@
 //!   (peer)                 MIGRATING ──final Handoff──▶ STREAMING
 //! ```
 //!
-//! Two artifacts per session live in the spool directory: the IOTJ
-//! journal (`sessNNN.iotj`, sealed segments only are durable) and the
-//! *card* (`sessNNN.card`) — a one-line sidecar written at handshake,
-//! before any record lands, recording how many records the client
-//! intends to stream. The card is what makes post-crash completeness
-//! *exact*: recovery divides recovered records by the card's
-//! expectation instead of guessing from the tear.
+//! Two artifacts per session live in the spool directory:
+//!
+//! * the IOTJ journal (`sessNNN.iotj`), an append-only
+//!   [`SpillWriter`] spool: each sealed segment is appended and
+//!   `fdatasync`ed before the collector acks it `Sealed`, and no byte is
+//!   ever rewritten;
+//! * the *card* (`sessNNN.card`), a one-line sidecar recording how many
+//!   records the client intends to stream. It is written on state
+//!   transitions only — handshake (before any record lands), close,
+//!   disconnect, drain and its abort, migration, recovery — never per
+//!   seal, and always through [`write_atomic`], so a crash leaves the
+//!   old card or the new one, never a torn one. The card is what makes
+//!   post-crash completeness *exact*: recovery divides recovered records
+//!   by the card's expectation instead of guessing from the tear.
 
-use iotrace_model::event::TraceMeta;
-use iotrace_model::journal::JournalWriter;
+use std::fs::File;
+use std::io::Write;
+use std::path::Path;
+
+use iotrace_model::event::{TraceMeta, TraceRecord};
+use iotrace_model::spill::SpillWriter;
 
 /// Where a session is in its life. `Display` renders the lowercase
 /// names used in cards and summary tables.
@@ -94,7 +105,7 @@ pub fn parse_state(s: &str) -> Option<SessionState> {
 }
 
 /// The crash-survivable sidecar: one line, written at handshake and
-/// rewritten on every state transition that must outlive the process.
+/// replaced on every state transition that must outlive the process.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SessionCard {
     pub session: u32,
@@ -102,7 +113,8 @@ pub struct SessionCard {
     pub expected: u64,
     pub state: SessionState,
     /// Durable records at the time the card was written (only current
-    /// for terminal states; a `streaming` card's count is a floor).
+    /// for terminal states; a live card is not rewritten per seal, so
+    /// its count is a floor).
     pub records: u64,
     /// Completeness stamped at close/recovery; 1.0 while streaming.
     pub completeness: f64,
@@ -152,6 +164,60 @@ impl SessionCard {
             origin,
         })
     }
+
+    /// This card brought up to date with `sealed`, the records its
+    /// journal's sealed prefix holds. A terminal card is exact as
+    /// written; a live card is written on transitions only, so its count
+    /// and completeness come from the journal instead.
+    pub fn with_sealed(&self, sealed: u64) -> SessionCard {
+        if self.state.is_terminal() {
+            return self.clone();
+        }
+        SessionCard {
+            records: sealed,
+            completeness: completeness(sealed, self.expected),
+            ..self.clone()
+        }
+    }
+
+    /// Replace this session's card in spool directory `dir`, atomically.
+    pub fn write(&self, dir: &Path) -> Result<(), String> {
+        let path = dir.join(format!("{}.card", session_stem(self.session)));
+        write_atomic(&path, format!("{}\n", self.to_line()).as_bytes())
+    }
+}
+
+/// Replace `path` with `bytes` so that a crash at any point leaves
+/// either the old file or the new one: write a temp file beside it,
+/// fsync it, rename it over `path`, then fsync the directory so the
+/// rename itself is durable. Every non-append write of a spool
+/// directory — cards, recovery rewrites, digests — goes through here.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("write {}: {e}", path.display());
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| format!("write {}: not a file path", path.display()))?
+        .to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = path.with_file_name(tmp_name);
+    let mut file = File::create(&tmp).map_err(err)?;
+    file.write_all(bytes).map_err(err)?;
+    file.sync_all().map_err(err)?;
+    std::fs::rename(&tmp, path).map_err(err)?;
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    File::open(dir).and_then(|d| d.sync_all()).map_err(err)
+}
+
+/// Completeness of `sealed` records against a declared expectation:
+/// exact when the client declared one, 1.0 while nothing says otherwise.
+fn completeness(sealed: u64, expected: u64) -> f64 {
+    if expected == 0 {
+        return 1.0;
+    }
+    (sealed as f64 / expected as f64).clamp(0.0, 1.0)
 }
 
 /// The spool file stem for session `id`: `sess007` → `sess007.iotj` +
@@ -166,14 +232,16 @@ pub struct Session {
     pub meta: TraceMeta,
     pub expected: u64,
     pub state: SessionState,
-    pub writer: JournalWriter,
+    /// The session's append-only journal spool. `None` only for a
+    /// `Migrating` stand-in whose header chunk has not landed yet.
+    pub spool: Option<SpillWriter>,
     /// Records appended (acked) so far.
     pub appended: u64,
     /// Highest `Records.seq` applied; frames must arrive in order.
     pub last_seq: u64,
     /// Appended records not yet folded into the incremental stats —
     /// drained as their segments seal.
-    pub unfolded: Vec<iotrace_model::event::TraceRecord>,
+    pub unfolded: Vec<TraceRecord>,
     /// Records already folded (== sealed records already durable).
     pub folded: u64,
     /// Set on a migrated-in session: where the source copy lives
@@ -183,45 +251,30 @@ pub struct Session {
     pub recv: Option<HandoffRecv>,
 }
 
-/// Destination-side handoff accumulator: the chunk bytes received so
-/// far. Because chunks arrive along journal structure (header, then one
-/// sealed segment each), `buf` is a valid journal after every chunk —
-/// it is persisted verbatim, so a kill between chunks tears nothing.
+/// Destination-side handoff progress. The chunks themselves go straight
+/// into the stand-in's spool: chunks arrive along journal structure
+/// (header, then one sealed segment each), so the spool is a valid
+/// sealed journal after every chunk and a kill between chunks tears
+/// nothing.
 pub struct HandoffRecv {
-    /// Concatenated chunk bytes: always a sealed, fsck-clean journal.
-    pub buf: Vec<u8>,
     /// Next chunk seq expected (1-based; 1 is the header chunk).
     pub next_chunk: u64,
     /// Total chunks the source announced.
     pub total_chunks: u64,
     /// Sealed record count the source promised for the full spool.
     pub promised: u64,
-    /// Records recovered from `buf` after the latest chunk.
-    pub records: u64,
 }
 
 impl Session {
-    /// `v2_spool` selects the journal container version for this
-    /// session's spool file: `false` writes classic v1 varint segments,
-    /// `true` writes v2 (IOT2 fixed-stride frame payloads).
-    pub fn new(
-        id: u32,
-        meta: TraceMeta,
-        expected: u64,
-        segment_records: usize,
-        v2_spool: bool,
-    ) -> Self {
-        let writer = if v2_spool {
-            JournalWriter::new_v2(&meta, segment_records)
-        } else {
-            JournalWriter::new(&meta, segment_records)
-        };
+    /// A session in `Handshake` with no spool yet; the collector opens
+    /// the spool file once it knows the container version.
+    pub fn new(id: u32, meta: TraceMeta, expected: u64) -> Self {
         Session {
             id,
             meta,
             expected,
             state: SessionState::Handshake,
-            writer,
+            spool: None,
             appended: 0,
             last_seq: 0,
             unfolded: Vec::new(),
@@ -231,19 +284,9 @@ impl Session {
         }
     }
 
-    /// Durable (sealed) record count.
+    /// Durable (sealed, and once acked also synced) record count.
     pub fn sealed(&self) -> u64 {
-        self.writer.sealed_records() as u64
-    }
-
-    /// Durable record count for the card: while `Migrating` the writer
-    /// is a placeholder and durability is what the handoff buffer holds;
-    /// otherwise it is the writer's sealed watermark.
-    pub fn durable(&self) -> u64 {
-        match (&self.state, &self.recv) {
-            (SessionState::Migrating, Some(recv)) => recv.records,
-            _ => self.sealed(),
-        }
+        self.spool.as_ref().map_or(0, |w| w.sealed_records())
     }
 
     /// The card describing this session's current persistent state.
@@ -252,7 +295,7 @@ impl Session {
             session: self.id,
             expected: self.expected,
             state: self.state,
-            records: self.durable(),
+            records: self.sealed(),
             completeness: self.completeness(),
             origin: self.origin.clone(),
         }
@@ -261,10 +304,7 @@ impl Session {
     /// Completeness against the declared expectation: exact when the
     /// client declared one, 1.0 while nothing says otherwise.
     pub fn completeness(&self) -> f64 {
-        if self.expected == 0 {
-            return 1.0;
-        }
-        (self.durable() as f64 / self.expected as f64).clamp(0.0, 1.0)
+        completeness(self.sealed(), self.expected)
     }
 }
 
@@ -335,12 +375,27 @@ mod tests {
     #[test]
     fn completeness_tracks_sealed_over_expected() {
         let meta = TraceMeta::new("/a", 0, 0, "t");
-        let s = Session::new(1, meta, 100, 8, false);
+        let s = Session::new(1, meta, 100);
         assert_eq!(s.completeness(), 0.0);
         let meta2 = TraceMeta::new("/a", 0, 0, "t");
-        let s2 = Session::new(2, meta2, 0, 8, true);
+        let s2 = Session::new(2, meta2, 0);
         assert_eq!(s2.completeness(), 1.0, "unknown expectation claims 1.0");
-        assert_eq!(s.writer.version(), 1);
-        assert_eq!(s2.writer.version(), 2);
+    }
+
+    #[test]
+    fn write_atomic_replaces_whole_files_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("iotrace-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sess001.card");
+        write_atomic(&path, b"a long first version\n").unwrap();
+        write_atomic(&path, b"short\n").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"short\n");
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, vec![std::ffi::OsString::from("sess001.card")]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -297,15 +297,7 @@ impl JournalWriter {
     /// tail — a killed writer was, by construction, mid-append.
     pub fn torn(&self) -> Vec<u8> {
         let mut out = self.buf.clone();
-        if self.pending.is_empty() {
-            // Killed before any payload of the next frame landed: only a
-            // dangling length prefix made it out.
-            put_u64(&mut out, 57);
-        } else {
-            let seg = segment_bytes(&self.pending, self.version);
-            let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
-            out.extend_from_slice(&seg[..cut]);
-        }
+        out.extend_from_slice(&torn_tail(&self.pending, self.version));
         out
     }
 
@@ -410,6 +402,41 @@ pub(crate) fn segment_bytes(records: &[TraceRecord], version: u8) -> Vec<u8> {
     out.extend_from_slice(&crc32(&payload).to_le_bytes());
     put_u64(&mut out, records.len() as u64);
     out
+}
+
+/// The bytes a writer killed mid-append leaves past its last sealed
+/// segment: half of the in-flight segment, or, when nothing was pending,
+/// a dangling length prefix. Never empty. `pub(crate)` for
+/// [`crate::spill`], whose torn spool must match [`JournalWriter::torn`].
+pub(crate) fn torn_tail(pending: &[TraceRecord], version: u8) -> Vec<u8> {
+    let mut out = Vec::new();
+    if pending.is_empty() {
+        // Killed before any payload of the next frame landed: only a
+        // dangling length prefix made it out.
+        put_u64(&mut out, 57);
+    } else {
+        let seg = segment_bytes(pending, version);
+        let cut = (seg.len() / 2).max(1).min(seg.len() - 1);
+        out.extend_from_slice(&seg[..cut]);
+    }
+    out
+}
+
+/// Verify that `bytes` is a run of whole sealed segments of a `version`
+/// journal about `meta` — framing, CRCs and record decode all checked —
+/// and return how many segments and records it holds. `pub(crate)` for
+/// [`crate::spill`], which appends segments shipped from another spool.
+pub(crate) fn sealed_run(
+    bytes: &[u8],
+    meta: &TraceMeta,
+    version: u8,
+) -> Result<(usize, usize), JournalError> {
+    let mut records = Vec::new();
+    let (segments, consumed, damage) = walk_segments(bytes, 0, meta, version, &mut records);
+    if damage.is_some() || consumed != bytes.len() {
+        return Err(JournalError::Torn { offset: consumed });
+    }
+    Ok((segments, records.len()))
 }
 
 /// One-shot encoding of a whole trace as a finished journal.

@@ -1,5 +1,5 @@
-//! Streaming spill-to-journal: watermark-triggered sealing of in-flight
-//! capture buffers to an on-disk spool of IOTJ v2 segments.
+//! Streaming spill-to-journal: append-only spool files of sealed IOTJ
+//! segments, written without ever rewriting a byte.
 //!
 //! At the 4096-rank tier a capture session produces ~10⁸ records; no
 //! stage may hold them all in memory. A [`SpillWriter`] gives each rank
@@ -9,7 +9,7 @@
 //! stays resident. Downstream analysis then decodes the spool straight
 //! from disk — segment-parallel, via the ordinary
 //! [`crate::journal::read_journal`] path, because the spool IS a
-//! journal:
+//! journal (v1 or v2 container, chosen at creation).
 //!
 //! **Invariant:** for any append/watermark pattern whatsoever, the
 //! finished spool file is byte-identical to
@@ -18,33 +18,44 @@
 //! reach disk, never *which* bytes. That is what lets every existing
 //! journal tool — fsck, split, resume, the collector's spool recovery —
 //! operate on spilled captures unchanged, and it is checked by proptest
-//! across random flush patterns.
+//! across random flush patterns. Only an explicit
+//! [`SpillWriter::seal_segment`] (a collector closing or draining a
+//! session early) starts a short segment mid-stream.
 //!
-//! Crash story, inherited from the journal: the writer appends only
-//! sealed segments, so a capture killed mid-run leaves a spool whose
-//! sealed prefix fscks clean; at most the sub-watermark remainder (never
-//! yet written) is lost — the same guarantee the in-memory
-//! [`crate::journal::JournalWriter`] gives, now with bounded RSS.
+//! Durability contract: the file only ever grows, one `write` per sealed
+//! segment, and [`SpillWriter::sync`] (`fdatasync`) makes everything
+//! appended so far durable. A caller that acknowledges durability —
+//! the collector's `Sealed` ack — syncs first. A crash therefore loses
+//! at most what was appended after the last sync: the sealed prefix up
+//! to [`SpillWriter::synced_bytes`] fscks clean, and a tail cut at any
+//! byte past it is exactly the torn tail [`fsck_journal`] discards.
+//! [`SpillWriter::tear`] appends such a tail on purpose, for simulated
+//! kills.
 
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::event::{Trace, TraceMeta, TraceRecord};
-use crate::journal::{fsck_journal, header_bytes, read_journal, segment_bytes, FsckReport};
+use crate::journal::{
+    fsck_journal, header_bytes, read_journal, sealed_run, segment_bytes, torn_tail, FsckReport,
+    VERSION_V2,
+};
 
 /// Default in-memory watermark (records) before a spill is attempted.
 pub const DEFAULT_WATERMARK: usize = 4096;
 
-/// One rank stream spilling to one spool file. See module docs.
+/// One record stream appending to one spool file. See module docs.
 pub struct SpillWriter {
     file: File,
     path: PathBuf,
+    meta: TraceMeta,
     pending: Vec<TraceRecord>,
     segment_records: usize,
     watermark: usize,
     version: u8,
     spooled_bytes: u64,
+    synced_bytes: u64,
     sealed_segments: u64,
     sealed_records: u64,
     peak_pending: usize,
@@ -72,19 +83,39 @@ impl SpillWriter {
         segment_records: usize,
         watermark: usize,
     ) -> io::Result<SpillWriter> {
+        Self::create_versioned(path, meta, VERSION_V2, segment_records, watermark)
+    }
+
+    /// [`SpillWriter::create`] with an explicit container version (1 or
+    /// 2). The header is written but not synced.
+    pub fn create_versioned(
+        path: impl Into<PathBuf>,
+        meta: &TraceMeta,
+        version: u8,
+        segment_records: usize,
+        watermark: usize,
+    ) -> io::Result<SpillWriter> {
+        if version != 1 && version != VERSION_V2 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unsupported journal version {version}"),
+            ));
+        }
         let path = path.into();
         let segment_records = segment_records.max(1);
         let mut file = File::create(&path)?;
-        let hdr = header_bytes(meta, crate::journal::VERSION_V2);
+        let hdr = header_bytes(meta, version);
         file.write_all(&hdr)?;
         Ok(SpillWriter {
             file,
             path,
+            meta: meta.clone(),
             pending: Vec::new(),
             segment_records,
             watermark: watermark.max(segment_records),
-            version: crate::journal::VERSION_V2,
+            version,
             spooled_bytes: hdr.len() as u64,
+            synced_bytes: 0,
             sealed_segments: 0,
             sealed_records: 0,
             peak_pending: 0,
@@ -111,20 +142,74 @@ impl SpillWriter {
     /// sub-segment remainder resident. Sealing partial segments here
     /// would change the finished bytes (a one-shot journal only seals a
     /// short segment at the very end), breaking the byte-identity
-    /// invariant — so the remainder waits for more records or `finish`.
+    /// invariant — so the remainder waits for more records, an explicit
+    /// [`SpillWriter::seal_segment`], or `finish`.
     pub fn spill(&mut self) -> io::Result<()> {
         let full = (self.pending.len() / self.segment_records) * self.segment_records;
-        if full == 0 {
+        self.write_segments(full)
+    }
+
+    /// Seal everything resident now, the remainder as a short segment
+    /// (no-op when nothing is pending). Not synced.
+    pub fn seal_segment(&mut self) -> io::Result<()> {
+        self.write_segments(self.pending.len())
+    }
+
+    /// Seal the first `n` pending records, `segment_records` per
+    /// segment, one append each.
+    fn write_segments(&mut self, n: usize) -> io::Result<()> {
+        if n == 0 {
             return Ok(());
         }
-        for chunk in self.pending[..full].chunks(self.segment_records) {
+        for chunk in self.pending[..n].chunks(self.segment_records) {
             let seg = segment_bytes(chunk, self.version);
             self.file.write_all(&seg)?;
             self.spooled_bytes += seg.len() as u64;
             self.sealed_segments += 1;
             self.sealed_records += chunk.len() as u64;
         }
-        self.pending.drain(..full);
+        self.pending.drain(..n);
+        Ok(())
+    }
+
+    /// Append `bytes`, whole sealed segments shipped from another spool
+    /// of the same container version (a session handoff), after checking
+    /// their framing, CRCs and records. Refused while records are
+    /// pending, which would reorder the stream. Not synced. Returns the
+    /// records appended.
+    pub fn append_sealed(&mut self, bytes: &[u8]) -> io::Result<u64> {
+        if !self.pending.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "sealed segments appended behind pending records",
+            ));
+        }
+        let (segments, records) = sealed_run(bytes, &self.meta, self.version)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        self.file.write_all(bytes)?;
+        self.spooled_bytes += bytes.len() as u64;
+        self.sealed_segments += segments as u64;
+        self.sealed_records += records as u64;
+        Ok(records as u64)
+    }
+
+    /// Make every byte appended so far durable (`fdatasync`).
+    pub fn sync(&mut self) -> io::Result<()> {
+        if self.synced_bytes < self.spooled_bytes {
+            self.file.sync_data()?;
+            self.synced_bytes = self.spooled_bytes;
+        }
+        Ok(())
+    }
+
+    /// Append the tail a crash in the middle of an append leaves — half
+    /// of the pending segment, or a dangling length prefix when nothing
+    /// is pending — without syncing it. This is how a simulated kill
+    /// tears a spool; the writer must not be used afterwards.
+    pub fn tear(&mut self) -> io::Result<()> {
+        let tail = torn_tail(&self.pending, self.version);
+        self.file.write_all(&tail)?;
+        self.spooled_bytes += tail.len() as u64;
         Ok(())
     }
 
@@ -134,8 +219,20 @@ impl SpillWriter {
         self.pending.len()
     }
 
+    /// Records in sealed segments on disk.
+    pub fn sealed_records(&self) -> u64 {
+        self.sealed_records
+    }
+
+    /// Bytes appended to the file so far.
     pub fn spooled_bytes(&self) -> u64 {
         self.spooled_bytes
+    }
+
+    /// File length at the last [`SpillWriter::sync`]: what survives a
+    /// crash right now.
+    pub fn synced_bytes(&self) -> u64 {
+        self.synced_bytes
     }
 
     pub fn path(&self) -> &Path {
@@ -145,17 +242,8 @@ impl SpillWriter {
     /// Seal everything left (including a final short segment), sync the
     /// file, and report what the spool holds.
     pub fn finish(mut self) -> io::Result<SpillStats> {
-        self.spill()?;
-        if !self.pending.is_empty() {
-            let seg = segment_bytes(&self.pending, self.version);
-            self.file.write_all(&seg)?;
-            self.spooled_bytes += seg.len() as u64;
-            self.sealed_segments += 1;
-            self.sealed_records += self.pending.len() as u64;
-            self.pending.clear();
-        }
-        self.file.flush()?;
-        self.file.sync_all()?;
+        self.seal_segment()?;
+        self.sync()?;
         Ok(SpillStats {
             path: self.path,
             bytes: self.spooled_bytes,
@@ -321,6 +409,94 @@ mod tests {
             assert_eq!(stats.bytes as usize, spooled.len());
             assert_eq!(stats.records, 41);
             assert_eq!(read_journal(&spooled).unwrap(), t);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn v1_spool_with_early_seals_matches_the_journal_writer() {
+        let dir = tmp_dir("v1early");
+        let t = sample(2, 37);
+        let path = dir.join("s.iotj");
+        let mut w = SpillWriter::create_versioned(&path, &t.meta, 1, 8, 8).unwrap();
+        let mut oracle = crate::journal::JournalWriter::new(&t.meta, 8);
+        for (i, r) in t.records.iter().enumerate() {
+            w.append(r.clone()).unwrap();
+            oracle.append(r);
+            if i == 12 || i == 13 || i == 30 {
+                w.seal_segment().unwrap();
+                oracle.seal_segment();
+            }
+        }
+        assert_eq!(w.sealed_records(), oracle.sealed_records() as u64);
+        w.finish().unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), oracle.finish());
+        assert!(SpillWriter::create_versioned(dir.join("x.iotj"), &t.meta, 3, 8, 8).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sync_marks_the_durable_prefix_and_tear_appends_a_torn_tail() {
+        let dir = tmp_dir("tear");
+        let t = sample(4, 20);
+        let path = dir.join("s.iotj");
+        let mut w = SpillWriter::create_versioned(&path, &t.meta, 1, 8, 8).unwrap();
+        assert_eq!(w.synced_bytes(), 0, "create does not sync");
+        w.append_all(t.records.iter().cloned()).unwrap(); // 16 sealed, 4 pending
+        w.sync().unwrap();
+        let synced = w.synced_bytes();
+        assert_eq!(synced, w.spooled_bytes());
+        assert_eq!(synced, std::fs::metadata(&path).unwrap().len());
+        w.tear().unwrap();
+        assert_eq!(w.synced_bytes(), synced, "a torn tail is never synced");
+        let bytes = std::fs::read(&path).unwrap();
+        let mut oracle = crate::journal::JournalWriter::new(&t.meta, 8);
+        oracle.append_all(&t.records);
+        assert_eq!(bytes, oracle.torn(), "same tear as the in-memory writer");
+        let (rec, report) = fsck_journal(&bytes).unwrap();
+        assert_eq!(rec.records.as_slice(), &t.records[..16]);
+        assert_eq!(report.torn_tail_bytes as u64, bytes.len() as u64 - synced);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn append_sealed_takes_whole_segments_only() {
+        let dir = tmp_dir("sealed");
+        let t = sample(5, 30);
+        for version in [1u8, 2] {
+            let source = encode_journal_versioned(&t, 8, version);
+            let chunks = crate::journal::split_journal(&source).unwrap();
+            let path = dir.join(format!("v{version}.iotj"));
+            let mut w = SpillWriter::create_versioned(&path, &t.meta, version, 8, 8).unwrap();
+            assert_eq!(w.spooled_bytes(), chunks[0].len() as u64);
+            // Half a segment, or a segment of the other container
+            // version, is refused and leaves the file as it was.
+            let seg = &chunks[1];
+            assert!(w.append_sealed(&seg[..seg.len() / 2]).is_err());
+            let other = encode_journal_versioned(&t, 8, 3 - version);
+            let foreign = &crate::journal::split_journal(&other).unwrap()[1];
+            assert!(w.append_sealed(foreign).is_err());
+            assert_eq!(w.spooled_bytes(), chunks[0].len() as u64);
+            let mut n = 0;
+            for c in &chunks[1..] {
+                n += w.append_sealed(c).unwrap();
+            }
+            assert_eq!(n, 30);
+            w.append(t.records[0].clone()).unwrap();
+            assert!(w.append_sealed(seg).is_err(), "would land behind pending");
+            w.seal_segment().unwrap();
+            let stats = w.finish().unwrap();
+            assert_eq!(stats.records, 31);
+            let mut expected = source.clone();
+            expected.extend_from_slice(
+                &crate::journal::split_journal(&encode_journal_versioned(
+                    &sample(5, 1),
+                    8,
+                    version,
+                ))
+                .unwrap()[1],
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), expected);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
