@@ -2,11 +2,11 @@
 //! bytes and time — the "which file is hot" question every I/O debugging
 //! session starts with.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use iotrace_model::event::TraceRecord;
 use iotrace_model::intern::{Interner, Sym};
-use iotrace_model::iot2::{Frame, Iot2Error, Iot2View};
 use iotrace_sim::time::SimDur;
 
 /// Aggregate for one path.
@@ -17,43 +17,49 @@ pub struct PathStats {
     pub time: SimDur,
 }
 
-/// Per-path aggregation keyed by interned symbols — the allocation-free
-/// core of [`by_path`]. Each distinct path is interned once; every
-/// record after that hashes and copies a `u32` instead of a `String`.
-/// Records without a path (fd-based calls) are attributed via the most
-/// recent successful `open` of that fd within the same rank.
+/// Per-path aggregation keyed by symbols of the caller's interner:
+/// one [`PathFold`] over `records`, interning into `paths`. Each
+/// distinct path is interned once; every record after that hashes and
+/// copies a `u32` instead of a `String`.
 pub fn by_path_interned<'a>(
     records: impl IntoIterator<Item = &'a TraceRecord>,
     paths: &mut Interner,
 ) -> HashMap<Sym, PathStats> {
-    let mut fold = PathFold::default();
-    fold.fold(records, paths);
+    let mut fold = PathFold {
+        paths: std::mem::take(paths),
+        ..PathFold::default()
+    };
+    fold.push_records(records);
+    *paths = fold.paths;
     fold.stats
 }
 
-/// Resumable per-path aggregation state: the running [`PathStats`] map
-/// plus the open-fd attribution table. The collector folds each sealed
-/// journal segment as it lands, so hotspot answers are available *while*
-/// capture runs — fd attribution must survive segment boundaries (an
-/// `open` in one segment names the I/O of the next), hence this struct
-/// rather than repeated [`by_path_interned`] calls.
+/// The hotspot fold: per-path [`PathStats`] keyed by symbols of the
+/// fold's own [`Interner`], plus the open-fd table. Records without a
+/// path (fd-based calls) are attributed via the most recent successful
+/// `open` of that fd within the same rank.
+///
+/// Pushing a record stream in any batching yields the same fold as one
+/// push of the whole stream — the collector folds each sealed segment
+/// as it lands, and an `open` in one segment names the I/O of the next.
+/// [`PathFold::merge`] combines folds over *rank-aligned* parts (no
+/// rank's records split across two parts) in any order: the resolved
+/// [`PathFold::top`] is the same as one fold over all the records.
 #[derive(Clone, Debug, Default)]
 pub struct PathFold {
-    pub stats: HashMap<Sym, PathStats>,
+    stats: HashMap<Sym, PathStats>,
+    paths: Interner,
     /// (rank, fd) -> path of the most recent successful open.
     open_fds: HashMap<(u32, i64), Sym>,
 }
 
 impl PathFold {
-    /// Fold a batch of records into the running aggregation. Folding a
-    /// record stream in any batching yields the same map as one call
-    /// over the whole stream.
-    pub fn fold<'a>(
-        &mut self,
-        records: impl IntoIterator<Item = &'a TraceRecord>,
-        paths: &mut Interner,
-    ) {
-        let out = &mut self.stats;
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    pub fn push_records<'a>(&mut self, records: impl IntoIterator<Item = &'a TraceRecord>) {
+        let paths = &mut self.paths;
         let open_fds = &mut self.open_fds;
         for r in records {
             use iotrace_model::event::IoCall::*;
@@ -77,7 +83,7 @@ impl PathFold {
                 _ => r.call.path().map(|p| paths.intern(p)),
             };
             if let Some(p) = path {
-                let e = out.entry(p).or_default();
+                let e = self.stats.entry(p).or_default();
                 e.ops += 1;
                 e.bytes += r.call.bytes();
                 e.time += r.dur;
@@ -85,84 +91,61 @@ impl PathFold {
         }
     }
 
-    /// Fold zero-copy [`Frame`]s with the same attribution rules as
-    /// [`PathFold::fold`]. Frame path symbols must already live in the
-    /// caller's keyspace (the v1 fold decoder interns them there;
-    /// IOT2 views re-key via [`Iot2View::map_syms`] — or use
-    /// [`by_path_iot2`], which does both).
-    pub fn fold_frames(&mut self, frames: impl IntoIterator<Item = Frame>) {
-        for f in frames {
-            let path: Option<Sym> = if f.is_open() {
-                if let Some(sym) = f.path {
-                    if f.result >= 0 {
-                        self.open_fds.insert((f.rank, f.result), sym);
-                    }
-                    Some(sym)
-                } else {
-                    None
-                }
-            } else if f.is_close() {
-                self.open_fds.remove(&(f.rank, f.fd))
-            } else if f.attributes_via_fd() {
-                self.open_fds.get(&(f.rank, f.fd)).copied()
-            } else {
-                // Fallback path attribution matches `IoCall::path()`:
-                // the primary path when the op carries one.
-                f.path
-            };
-            if let Some(p) = path {
-                let e = self.stats.entry(p).or_default();
-                e.ops += 1;
-                e.bytes += f.bytes_moved();
-                e.time += f.dur;
-            }
+    /// Absorb `other`'s interner into this fold's and add its per-path
+    /// totals and open fds under the remapped symbols.
+    pub fn merge(&mut self, other: &PathFold) {
+        let remap = self.paths.absorb(&other.paths);
+        let sym = |s: Sym| remap[s.id() as usize];
+        for (&s, ps) in &other.stats {
+            let e = self.stats.entry(sym(s)).or_default();
+            e.ops += ps.ops;
+            e.bytes += ps.bytes;
+            e.time += ps.time;
+        }
+        for (&key, &s) in &other.open_fds {
+            self.open_fds.insert(key, sym(s));
         }
     }
-}
 
-/// Per-path aggregation straight off an opened IOT2 view: table strings
-/// are interned into `paths` once, then every frame is folded without
-/// materializing a `TraceRecord`. A structurally bad frame is an error.
-pub fn by_path_iot2(
-    view: &Iot2View<'_>,
-    paths: &mut Interner,
-) -> Result<HashMap<Sym, PathStats>, Iot2Error> {
-    let map = view.map_syms(paths);
-    let mut fold = PathFold::default();
-    for f in view.frames() {
-        let mut f = f?;
-        f.path = f.path.map(|s| map[s.id() as usize]);
-        f.path2 = f.path2.map(|s| map[s.id() as usize]);
-        fold.fold_frames(std::iter::once(f));
+    /// The `n` paths with the most bytes moved, resolved, per
+    /// [`top_by_bytes`].
+    pub fn top(&self, n: usize) -> Vec<(String, PathStats)> {
+        top_by_bytes_interned(&self.stats, &self.paths, n)
+            .into_iter()
+            .map(|(sym, s)| (self.paths.resolve(sym).to_string(), s))
+            .collect()
     }
-    Ok(fold.stats)
 }
 
 /// Per-path aggregation with `String` keys — a thin resolve layer over
-/// [`by_path_interned`] kept for callers that want owned paths.
+/// [`PathFold`] kept for callers that want owned paths.
 pub fn by_path<'a>(
     records: impl IntoIterator<Item = &'a TraceRecord>,
 ) -> HashMap<String, PathStats> {
-    let mut paths = Interner::new();
-    by_path_interned(records, &mut paths)
+    let mut fold = PathFold::new();
+    fold.push_records(records);
+    let PathFold { stats, paths, .. } = fold;
+    stats
         .into_iter()
         .map(|(sym, s)| (paths.resolve(sym).to_string(), s))
         .collect()
 }
 
-/// The `n` paths with the most bytes moved, descending; ties break by
-/// path ascending.
+/// The `n` entries with the most bytes moved, descending; ties break by
+/// `by_name`, ascending.
 ///
 /// Uses partial selection: `select_nth_unstable_by` pulls the top `n`
 /// to the front in O(len), then only that slice is sorted — O(len +
 /// n log n) instead of sorting the whole map. The comparator is a total
-/// order (paths are unique map keys), so the unstable selection cannot
+/// order (names are unique map keys), so the unstable selection cannot
 /// perturb the result.
-pub fn top_by_bytes(stats: &HashMap<String, PathStats>, n: usize) -> Vec<(String, PathStats)> {
-    let mut v: Vec<(String, PathStats)> =
-        stats.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
-    let cmp = |a: &(String, PathStats), b: &(String, PathStats)| {
-        b.1.bytes.cmp(&a.1.bytes).then_with(|| a.0.cmp(&b.0))
+fn top_n<K>(
+    mut v: Vec<(K, PathStats)>,
+    n: usize,
+    by_name: impl Fn(&K, &K) -> Ordering,
+) -> Vec<(K, PathStats)> {
+    let cmp = |a: &(K, PathStats), b: &(K, PathStats)| {
+        b.1.bytes.cmp(&a.1.bytes).then_with(|| by_name(&a.0, &b.0))
     };
     if n == 0 {
         return Vec::new();
@@ -173,6 +156,13 @@ pub fn top_by_bytes(stats: &HashMap<String, PathStats>, n: usize) -> Vec<(String
     }
     v.sort_by(cmp);
     v
+}
+
+/// The `n` paths with the most bytes moved, descending; ties break by
+/// path ascending.
+pub fn top_by_bytes(stats: &HashMap<String, PathStats>, n: usize) -> Vec<(String, PathStats)> {
+    let v = stats.iter().map(|(k, s)| (k.clone(), s.clone())).collect();
+    top_n(v, n, String::cmp)
 }
 
 /// [`top_by_bytes`] over interned stats. Ties still break by *resolved*
@@ -183,21 +173,8 @@ pub fn top_by_bytes_interned(
     paths: &Interner,
     n: usize,
 ) -> Vec<(Sym, PathStats)> {
-    let mut v: Vec<(Sym, PathStats)> = stats.iter().map(|(&k, s)| (k, s.clone())).collect();
-    let cmp = |a: &(Sym, PathStats), b: &(Sym, PathStats)| {
-        b.1.bytes
-            .cmp(&a.1.bytes)
-            .then_with(|| paths.resolve(a.0).cmp(paths.resolve(b.0)))
-    };
-    if n == 0 {
-        return Vec::new();
-    }
-    if n < v.len() {
-        v.select_nth_unstable_by(n - 1, cmp);
-        v.truncate(n);
-    }
-    v.sort_by(cmp);
-    v
+    let v = stats.iter().map(|(&k, s)| (k, s.clone())).collect();
+    top_n(v, n, |&a, &b| paths.resolve(a).cmp(paths.resolve(b)))
 }
 
 #[cfg(test)]
@@ -349,103 +326,6 @@ mod tests {
         for n in [0, 1, 5, 39, 40, 100] {
             let top = top_by_bytes(&stats, n);
             assert_eq!(top, full[..n.min(full.len())].to_vec(), "n={n}");
-        }
-    }
-
-    #[test]
-    fn iot2_frame_fold_matches_record_fold() {
-        use iotrace_model::event::{Trace, TraceMeta};
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        t.records = vec![
-            rec(
-                IoCall::Open {
-                    path: "/data/a".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3,
-            ),
-            rec(IoCall::Write { fd: 3, len: 100 }, 100),
-            rec(
-                IoCall::Lseek {
-                    fd: 3,
-                    offset: -5,
-                    whence: 1,
-                },
-                0,
-            ),
-            rec(IoCall::Fcntl { fd: 3, cmd: 1 }, 0), // NOT fd-attributed
-            rec(IoCall::Close { fd: 3 }, 0),
-            rec(
-                IoCall::Open {
-                    path: "/data/b".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3, // fd 3 reused
-            ),
-            rec(
-                IoCall::Pread {
-                    fd: 3,
-                    offset: 0,
-                    len: 9,
-                },
-                9,
-            ),
-            rec(
-                IoCall::Rename {
-                    from: "/data/a".into(),
-                    to: "/data/c".into(),
-                },
-                0, // attributes to `from` only
-            ),
-            rec(IoCall::Mmap { len: 4096 }, 0), // unattributed
-        ];
-        let plain = by_path(&t.records);
-        let bytes = iotrace_model::iot2::encode_iot2(&t).unwrap();
-        let view = iotrace_model::iot2::Iot2View::open(&bytes).unwrap();
-        let mut paths = Interner::new();
-        let framed = by_path_iot2(&view, &mut paths).unwrap();
-        assert_eq!(framed.len(), plain.len());
-        for (sym, s) in &framed {
-            assert_eq!(plain[paths.resolve(*sym)], *s, "{}", paths.resolve(*sym));
-        }
-    }
-
-    #[test]
-    fn v1_fold_decoder_feeds_fold_frames_identically() {
-        use iotrace_model::binary::{decode_binary_fold, encode_binary, BinaryOptions};
-        use iotrace_model::event::{Trace, TraceMeta};
-        let mut t = Trace::new(TraceMeta::new("/app", 0, 0, "t"));
-        t.records = vec![
-            rec(
-                IoCall::Open {
-                    path: "/data/a".into(),
-                    flags: 0,
-                    mode: 0,
-                },
-                3,
-            ),
-            rec(IoCall::Write { fd: 3, len: 100 }, 100),
-            rec(IoCall::Close { fd: 3 }, 0),
-            rec(
-                IoCall::Stat {
-                    path: "/data/b".into(),
-                },
-                0,
-            ),
-        ];
-        let plain = by_path(&t.records);
-        let bytes = encode_binary(&t, &BinaryOptions::default());
-        let mut paths = Interner::new();
-        let mut fold = PathFold::default();
-        decode_binary_fold(&bytes, None, &mut paths, |f| {
-            fold.fold_frames(std::iter::once(f))
-        })
-        .unwrap();
-        assert_eq!(fold.stats.len(), plain.len());
-        for (sym, s) in &fold.stats {
-            assert_eq!(plain[paths.resolve(*sym)], *s);
         }
     }
 

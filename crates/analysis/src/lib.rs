@@ -12,6 +12,14 @@
 //!   rank-aware descriptor tracking;
 //! * [`phases`] — barrier-delimited phase decomposition with bottleneck
 //!   and load-imbalance attribution.
+//!
+//! Each of the last three has exactly one code path, a fold:
+//! [`stats::StatsFold`], [`hotspots::PathFold`] and
+//! [`phases::PhaseFold`]. Folds over parts of a trace merge into the
+//! fold over the whole, so a batch run, a parallel run, the collector's
+//! mid-capture answer and a federated answer agree exactly, percentiles
+//! included. The batch entry points (`TraceStats::from_records`,
+//! `by_path_interned`, `phases`) are thin wrappers over the folds.
 
 pub mod hotspots;
 pub mod merge;
@@ -21,7 +29,7 @@ pub mod stats;
 
 pub mod prelude {
     pub use crate::hotspots::{
-        by_path, by_path_interned, by_path_iot2, top_by_bytes, top_by_bytes_interned, PathStats,
+        by_path, by_path_interned, top_by_bytes, top_by_bytes_interned, PathFold, PathStats,
     };
     pub use crate::merge::{
         merge_by_sort, merge_corrected, merge_partial, merge_strict, parse_parallel, MergeError,
@@ -29,5 +37,5 @@ pub mod prelude {
     };
     pub use crate::phases::{phases, render as render_phases, Phase, PhaseFold, RankPhase};
     pub use crate::skew::{estimate, ClockFit, SkewEstimate};
-    pub use crate::stats::{StreamingStats, TraceStats};
+    pub use crate::stats::{StatsFold, TraceStats};
 }

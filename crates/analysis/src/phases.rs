@@ -58,59 +58,32 @@ impl Phase {
 /// LANL-Trace and //TRACE captures do) into phases. Ranks with differing
 /// barrier counts are truncated to the common count.
 ///
-/// Each rank is attributed independently (and on its own scoped thread,
-/// via [`iotrace_model::par`]): when its records are time-sorted and its
-/// phase windows are disjoint — the normal shape of a captured trace —
-/// one pass over the records fills every phase, instead of re-scanning
-/// all records once per phase. Out-of-order records or overlapping
-/// barrier windows fall back to the per-phase scan, which also counts a
-/// record into every window containing it, exactly as before.
+/// One [`PhaseFold`] part per rank, each on its own scoped thread (via
+/// [`iotrace_model::par`]), merged in input order.
 pub fn phases(traces: &[Trace]) -> Vec<Phase> {
-    // Per rank: barrier boundaries (enter, exit) in observed time.
-    type RankBounds<'a> = (u32, Vec<(SimTime, SimTime)>, &'a Trace);
-    let mut rank_bounds: Vec<RankBounds> = Vec::new();
-    for t in traces {
-        let bounds: Vec<(SimTime, SimTime)> = t
-            .records
-            .iter()
-            .filter(|r| matches!(r.call, IoCall::MpiBarrier))
-            .map(|r| (r.ts, r.end()))
-            .collect();
-        rank_bounds.push((t.meta.rank, bounds, t));
+    let parts = iotrace_model::par::par_map(traces, |t| {
+        let mut part = PhaseFold::new();
+        part.add_rank(t);
+        part
+    });
+    let mut fold = PhaseFold::new();
+    for part in parts {
+        fold.merge(part);
     }
-    let n_phases = rank_bounds
-        .iter()
-        .map(|(_, b, _)| b.len())
-        .min()
-        .unwrap_or(0);
-    if n_phases < 2 {
-        return Vec::new();
-    }
-    let n = n_phases - 1;
-
-    let per_rank: Vec<Vec<RankPhase>> =
-        iotrace_model::par::par_map(&rank_bounds, |(rank, bounds, trace)| {
-            rank_phases(*rank, bounds, trace, n)
-        });
-    (0..n)
-        .map(|p| Phase {
-            index: p,
-            ranks: per_rank.iter().map(|r| r[p].clone()).collect(),
-        })
-        .collect()
+    fold.finish()
 }
 
-/// Streaming phase decomposition: feed one rank's trace at a time, then
-/// [`PhaseFold::finish`]. Only the per-phase accumulators survive each
-/// `add_rank` call — never a second rank's records — so phase analysis
-/// fits the bounded-RSS envelope at the 4096-rank tier.
+/// The phase fold: feed one rank's trace at a time, merge folds over
+/// consecutive groups of ranks, then [`PhaseFold::finish`]. Only the
+/// per-phase accumulators survive each `add_rank` call — never a second
+/// rank's records — so phase analysis fits the bounded-RSS envelope at
+/// the 4096-rank tier.
 ///
 /// Each rank's phases are attributed against its *own* barrier windows
 /// (each `RankPhase` depends only on that rank's trace), so the fold can
 /// run before the cross-rank common barrier count is known; `finish`
-/// truncates every rank to the common minimum, exactly as [`phases`]
-/// does. Feeding the same traces in the same order yields an identical
-/// result.
+/// truncates every rank to the common minimum. Ranks keep the order they
+/// were added and merged in.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseFold {
     per_rank: Vec<Vec<RankPhase>>,
@@ -135,6 +108,12 @@ impl PhaseFold {
             .push(rank_phases(trace.meta.rank, &bounds, trace, n_own));
     }
 
+    /// Append `other`'s ranks after this fold's.
+    pub fn merge(&mut self, other: PhaseFold) {
+        self.per_rank.extend(other.per_rank);
+        self.barrier_counts.extend(other.barrier_counts);
+    }
+
     pub fn finish(self) -> Vec<Phase> {
         let n_phases = self.barrier_counts.iter().copied().min().unwrap_or(0);
         if n_phases < 2 {
@@ -153,6 +132,11 @@ impl PhaseFold {
 /// One rank's activity across all `n` phases. `bounds[p].1` (exit of
 /// barrier p) opens phase p; `bounds[p + 1].0` (entry of barrier p+1)
 /// closes it.
+///
+/// When the records are time-sorted and the phase windows disjoint —
+/// the normal shape of a captured trace — one pass over the records
+/// fills every phase. Otherwise each phase rescans the records, which
+/// also counts a record into every window containing it.
 fn rank_phases(
     rank: u32,
     bounds: &[(SimTime, SimTime)],

@@ -32,15 +32,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use iotrace_analysis::hotspots::{by_path_interned, top_by_bytes_interned};
+use iotrace_analysis::hotspots::PathFold;
 use iotrace_analysis::merge::{merge_by_sort, merge_corrected};
 use iotrace_analysis::skew::{ClockFit, SkewEstimate};
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::StatsFold;
 use iotrace_collector::{run_federation, run_soak, FederationConfig, SoakConfig};
 use iotrace_lint::{LintConfig, LintInput, Linter};
 use iotrace_model::binary::{decode_binary, encode_binary, BinaryOptions};
 use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
-use iotrace_model::intern::Interner;
 use iotrace_model::iot2::{encode_iot2, Iot2View};
 use iotrace_model::journal::{
     encode_journal, encode_journal_versioned, read_journal, records_digest,
@@ -166,12 +165,13 @@ pub fn run(args: &[String]) -> Result<(), String> {
     // stats folded straight over borrowed frames — no TraceRecord ever
     // materializes, which is the format's whole point
     let (scan_stats, scan2_s) = timed_best(REPS, || {
-        let mut all = TraceStats::default();
+        let mut all = StatsFold::new();
         for b in &blobs2 {
-            let view = Iot2View::open(b).expect("opens");
-            all.merge(&TraceStats::from_iot2(&view).expect("scans"));
+            for f in Iot2View::open(b).expect("opens").frames() {
+                all.push_frame(&f.expect("scans"));
+            }
         }
-        all
+        all.finish()
     });
     stages.push(Stage::new("scan-v2", total, scan2_s));
     let scan2_ok = scan_stats.records == total;
@@ -225,12 +225,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     // hotspots (interned aggregation over the merged timeline)
     let (top, hot_s) = timed(|| {
-        let mut paths = Interner::new();
-        let stats = by_path_interned(&kway, &mut paths);
-        top_by_bytes_interned(&stats, &paths, 10)
-            .into_iter()
-            .map(|(sym, s)| (paths.resolve(sym).to_string(), s))
-            .collect::<Vec<_>>()
+        let mut fold = PathFold::new();
+        fold.push_records(&kway);
+        fold.top(10)
     });
     stages.push(Stage::new("hotspots", total, hot_s));
 

@@ -9,7 +9,7 @@
 //! [`iotrace_model::spill::SpillSet`], so resident state per rank is
 //! bounded by the spill watermark. Analysis then streams the spool
 //! back one rank at a time through the per-rank folds —
-//! [`StreamingStats`], [`PathFold`], [`PhaseFold`], [`GraphFold`] —
+//! [`StatsFold`], [`PathFold`], [`PhaseFold`], [`GraphFold`] —
 //! so no stage holds more than one rank's `Vec<TraceRecord>`.
 //!
 //! Checked, not just reported (folded into `determinism_ok`):
@@ -29,11 +29,10 @@
 
 use std::path::{Path, PathBuf};
 
-use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold};
+use iotrace_analysis::hotspots::PathFold;
 use iotrace_analysis::phases::PhaseFold;
-use iotrace_analysis::stats::StreamingStats;
+use iotrace_analysis::stats::StatsFold;
 use iotrace_model::event::{IoCall, TraceMeta, TraceRecord};
-use iotrace_model::intern::Interner;
 use iotrace_model::journal::read_journal;
 use iotrace_model::spill::{fsck_spool, spool_files, SpillSet};
 use iotrace_provenance::GraphFold;
@@ -450,21 +449,20 @@ struct AnalyzeStats {
 /// the record count.
 fn analyze(dir: &Path) -> Result<AnalyzeStats, String> {
     let files = spool_files(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
-    let mut stats = StreamingStats::new();
-    let mut hot = PathFold::default();
-    let mut hot_paths = Interner::new();
+    let mut stats = StatsFold::new();
+    let mut hot = PathFold::new();
     let mut phases = PhaseFold::new();
     let mut graph = GraphFold::new();
     for f in &files {
         let bytes = std::fs::read(f).map_err(|e| format!("{}: {e}", f.display()))?;
         let trace = read_journal(&bytes).map_err(|e| format!("{}: {e}", f.display()))?;
         stats.push_records(&trace.records);
-        hot.fold(&trace.records, &mut hot_paths);
+        hot.push_records(&trace.records);
         phases.add_rank(&trace);
         graph.add_rank(&trace);
     }
     let st = stats.finish();
-    let top = top_by_bytes_interned(&hot.stats, &hot_paths, 1);
+    let top = hot.top(1);
     let g = graph.finish();
     let ph = phases.finish();
     Ok(AnalyzeStats {
@@ -472,9 +470,7 @@ fn analyze(dir: &Path) -> Result<AnalyzeStats, String> {
         graph_nodes: g.nodes.len(),
         graph_edges: g.edges.len(),
         phase_count: ph.len(),
-        top_path: top
-            .first()
-            .map(|(sym, _)| hot_paths.resolve(*sym).to_string()),
+        top_path: top.into_iter().next().map(|(path, _)| path),
     })
 }
 

@@ -1,9 +1,9 @@
 //! Subcommand implementations.
 
-use iotrace_analysis::hotspots::{by_path, top_by_bytes};
+use iotrace_analysis::hotspots::PathFold;
 use iotrace_analysis::merge::RankCoverage;
 use iotrace_analysis::phases::{phases as phase_split, render as render_phases};
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::StatsFold;
 use iotrace_core::classify::{classify_all, ProbeConfig};
 use iotrace_core::table::{table1_template, table2};
 use iotrace_ioapi::harness::standard_cluster;
@@ -175,10 +175,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
     lint_gate(&traces, None, &flags)?;
     let cov = coverage_report(&traces);
-    let mut all = TraceStats::default();
-    for t in &traces {
-        all.merge(&TraceStats::from_trace(t));
-    }
+    let all: StatsFold = traces.iter().flat_map(|t| &t.records).collect();
     println!("traces: {} (ranks: {:?})", traces.len(), cov.present);
     if !cov.missing.is_empty() {
         println!(
@@ -189,7 +186,7 @@ pub fn stats(args: &[String]) -> Result<(), String> {
     for (r, c) in &cov.incomplete {
         println!("rank {r}: incomplete trace (completeness {c:.3})");
     }
-    print!("{}", all.render());
+    print!("{}", all.finish().render());
     Ok(())
 }
 
@@ -203,12 +200,13 @@ pub fn hotspots(args: &[String]) -> Result<(), String> {
     let traces = load_traces(&paths, key_from(&flags, "key").as_ref())?;
     lint_gate(&traces, None, &flags)?;
     coverage_report(&traces);
-    let stats = by_path(traces.iter().flat_map(|t| t.records.iter()));
+    let mut fold = PathFold::new();
+    fold.push_records(traces.iter().flat_map(|t| &t.records));
     println!(
         "{:<48} {:>10} {:>14} {:>12}",
         "path", "ops", "bytes", "time (s)"
     );
-    for (path, s) in top_by_bytes(&stats, top_n) {
+    for (path, s) in fold.top(top_n) {
         println!(
             "{:<48} {:>10} {:>14} {:>12.6}",
             path,

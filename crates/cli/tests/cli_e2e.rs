@@ -661,3 +661,70 @@ fn faults_describes_the_collector_chaos_plan() {
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("completed in"), "{s}");
 }
+
+/// A LANL-Trace text file for `rank`: open, one write per duration (in
+/// µs), close — each call 10 ms after the last.
+fn rank_file(d: &Path, rank: u32, write_us: &[u64]) -> (PathBuf, iotrace_model::event::Trace) {
+    use iotrace_model::event::{IoCall, Trace, TraceMeta, TraceRecord};
+    use iotrace_sim::time::{SimDur, SimTime};
+    let mut calls = vec![(
+        IoCall::Open {
+            path: format!("/pfs/out.{rank}"),
+            flags: 66,
+            mode: 0o644,
+        },
+        10,
+        3,
+    )];
+    calls.extend(
+        write_us
+            .iter()
+            .map(|&us| (IoCall::Write { fd: 3, len: 64 }, us, 64)),
+    );
+    calls.push((IoCall::Close { fd: 3 }, 2, 0));
+    let mut t = Trace::new(TraceMeta::new("/app.exe", rank, rank, "lanl-trace"));
+    for (i, (call, us, result)) in calls.into_iter().enumerate() {
+        t.records.push(TraceRecord {
+            ts: SimTime::from_millis(10 * (i as u64 + 1)),
+            dur: SimDur::from_micros(us),
+            rank,
+            node: rank,
+            pid: 10_000 + rank,
+            uid: 1000,
+            gid: 100,
+            call,
+            result,
+        });
+    }
+    let path = d.join(format!("rank{rank}.txt"));
+    std::fs::write(&path, iotrace_model::text::format_text(&t)).unwrap();
+    (path, t)
+}
+
+#[test]
+fn stats_over_two_ranks_reports_percentiles_of_all_their_records() {
+    use iotrace_analysis::stats::TraceStats;
+    let d = tmpdir("stats_fold");
+    // rank 0: many short writes; rank 1: two long ones
+    let (p0, t0) = rank_file(&d, 0, &(1..=40).collect::<Vec<_>>());
+    let (p1, t1) = rank_file(&d, 1, &[5_000, 5_000]);
+    let all = TraceStats::from_records(t0.records.iter().chain(&t1.records));
+    let (s0, s1) = (TraceStats::from_trace(&t0), TraceStats::from_trace(&t1));
+    // The inputs tell the two answers apart: the max of the per-file
+    // percentiles is rank 1's 5 ms, one pass over all records is not.
+    assert_ne!(all.dur_p50, s0.dur_p50.max(s1.dur_p50));
+    assert_ne!(all.dur_p95, s0.dur_p95.max(s1.dur_p95));
+    assert!(all.dur_p95 < s1.dur_p50, "{all:?}");
+
+    let out = run(&["stats", p0.to_str().unwrap(), p1.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let want = format!(
+        "call time: {} (p50 {}, p95 {}, max {})",
+        all.call_time, all.dur_p50, all.dur_p95, all.dur_max
+    );
+    assert!(stdout.contains(&want), "want {want:?} in\n{stdout}");
+    // the file order does not change the answer
+    let out = run(&["stats", p1.to_str().unwrap(), p0.to_str().unwrap()]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains(&want));
+}

@@ -23,9 +23,8 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
-use iotrace_analysis::stats::TraceStats;
-use iotrace_model::intern::Interner;
+use iotrace_analysis::hotspots::{PathFold, PathStats};
+use iotrace_analysis::stats::{StatsFold, TraceStats};
 
 use iotrace_model::journal::{fsck_journal, journal_version, read_journal};
 use iotrace_model::spill::SpillWriter;
@@ -91,10 +90,8 @@ pub struct Collector {
     /// client id -> session id, for routing frames after `Hello`.
     client_session: BTreeMap<u32, u32>,
     next_session: u32,
-    stats: TraceStats,
-    paths: Interner,
+    stats: StatsFold,
     path_fold: PathFold,
-    folded_records: u64,
     frames_drained: u64,
     outbox: Vec<(u32, Frame)>,
     killed: bool,
@@ -126,10 +123,8 @@ impl Collector {
             sessions: BTreeMap::new(),
             client_session: BTreeMap::new(),
             next_session,
-            stats: TraceStats::default(),
-            paths: Interner::new(),
-            path_fold: PathFold::default(),
-            folded_records: 0,
+            stats: StatsFold::new(),
+            path_fold: PathFold::new(),
             frames_drained: 0,
             outbox: Vec::new(),
             killed: false,
@@ -456,9 +451,8 @@ impl Collector {
             sess.folded = records;
             sess.recv = None;
             sess.state = SessionState::Streaming;
-            self.stats.merge(&TraceStats::from_records(&trace.records));
-            self.path_fold.fold(&trace.records, &mut self.paths);
-            self.folded_records += records;
+            self.stats.push_records(&trace.records);
+            self.path_fold.push_records(&trace.records);
         }
         if seq == 1 || done {
             self.sessions[&session].card().write(&self.dir)?;
@@ -640,11 +634,10 @@ impl Collector {
             .sync()
             .map_err(|e| format!("sync {}: {e}", spool.path().display()))?;
         let batch = &sess.unfolded[..delta];
-        self.stats.merge(&TraceStats::from_records(batch));
-        self.path_fold.fold(batch, &mut self.paths);
+        self.stats.push_records(batch);
+        self.path_fold.push_records(batch);
         sess.unfolded.drain(..delta);
         sess.folded = sealed;
-        self.folded_records += delta as u64;
         Ok(Some(sealed))
     }
 
@@ -652,18 +645,15 @@ impl Collector {
     /// exactly the sealed (durable) records.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
-            folded_records: self.folded_records,
-            stats: self.stats.clone(),
+            folded_records: self.stats.records() as u64,
+            stats: self.stats.finish(),
         }
     }
 
     /// Top-`n` hotspot paths by bytes over the sealed records, resolved
     /// to owned strings.
     pub fn hotspots(&self, n: usize) -> Vec<(String, PathStats)> {
-        top_by_bytes_interned(&self.path_fold.stats, &self.paths, n)
-            .into_iter()
-            .map(|(sym, s)| (self.paths.resolve(sym).to_string(), s))
-            .collect()
+        self.path_fold.top(n)
     }
 
     /// The live session table, ascending by session id.

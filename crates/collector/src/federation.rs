@@ -14,7 +14,9 @@
 //! two spool directories into a single recovered journal that is
 //! byte-identical to what a never-migrated run would have written.
 //!
-//! Recovery across a federation is a superset of single-spool recovery:
+//! Recovery across a federation is a superset of single-spool recovery.
+//! It first deletes any `*.tmp` a crash inside an earlier recovery's
+//! atomic write left behind, then runs three passes:
 //!
 //! 1. **reunite** — a destination card whose `origin=` names a partner
 //!    collector marks a session that was mid-handoff; whichever copy
@@ -30,13 +32,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
-use iotrace_analysis::hotspots::{top_by_bytes_interned, PathFold, PathStats};
+use iotrace_analysis::hotspots::{PathFold, PathStats};
 use iotrace_analysis::merge::merge_corrected;
 use iotrace_analysis::skew::SkewEstimate;
-use iotrace_analysis::stats::TraceStats;
+use iotrace_analysis::stats::{StatsFold, TraceStats};
 use iotrace_fs::params::RetryPolicy;
 use iotrace_model::event::Trace;
-use iotrace_model::intern::Interner;
 use iotrace_model::journal::{fsck_journal, journal_version, read_journal, records_digest};
 use iotrace_model::par::par_map;
 use iotrace_sim::fault::FaultPlan;
@@ -45,7 +46,7 @@ use crate::client::{ClientPhase, SimClient};
 use crate::collector::Collector;
 use crate::migrate::{Migration, PEER_CLIENT_BASE};
 use crate::recovery::{read_card, recover_spool, spool_journals, RecoveryReport};
-use crate::session::{write_atomic, SessionState};
+use crate::session::{remove_temp_files, write_atomic, SessionState};
 use crate::soak::{SessionOutcome, SoakConfig};
 
 /// Knobs for one federation run: the per-collector soak knobs plus the
@@ -595,6 +596,7 @@ pub fn recover_spools(
     // either way, so two recoveries agree on where the session lives.
     let mut reunited = 0usize;
     for dir in &dirs {
+        remove_temp_files(dir)?;
         for name in spool_journals(dir)? {
             let Some(card) = read_card(dir, &name) else {
                 continue;
@@ -684,6 +686,7 @@ pub fn recover_federation(
     if dirs.is_empty() {
         return Err(format!("{}: no collector spools found", root.display()));
     }
+    remove_temp_files(root)?;
     let rec = recover_spools(&dirs, segment_records)?;
     let mut digest_file = String::from("# iotrace federation merged digest v1\n");
     digest_file.push_str(&format!(
@@ -780,21 +783,21 @@ pub fn render_federation_sessions(rows: &[FederationSessionRow]) -> String {
     out
 }
 
-/// The merged `stats` query: per-collector folds run in parallel over
-/// *local* interners (no shared keyspace, no locks), then each local
-/// path table is absorbed into one global interner —
-/// [`Interner::absorb`] returns the local→global symbol remap — in
-/// sorted collector order, so the merged hotspot table is deterministic
-/// regardless of worker count.
+/// The merged `stats` query: per-collector [`StatsFold`]s and
+/// [`PathFold`]s run in parallel (each path fold over its own local
+/// interner: no shared keyspace, no locks), then merge in sorted
+/// collector order — [`PathFold::merge`] absorbs each local interner
+/// into the first fold's — so the answer equals one fold over every
+/// collector's records, percentiles included, regardless of worker
+/// count.
 pub fn federation_stats(
     root: &Path,
     top: usize,
 ) -> Result<(TraceStats, Vec<(String, PathStats)>), String> {
     let dirs = federation_spools(root)?;
-    let locals: Vec<Result<(TraceStats, Interner, PathFold), String>> = par_map(&dirs, |dir| {
-        let mut stats = TraceStats::default();
-        let mut paths = Interner::new();
-        let mut fold = PathFold::default();
+    let locals: Vec<Result<(StatsFold, PathFold), String>> = par_map(&dirs, |dir| {
+        let mut stats = StatsFold::new();
+        let mut fold = PathFold::new();
         for name in spool_journals(dir)? {
             let path = dir.join(&name);
             let bytes =
@@ -804,32 +807,19 @@ pub fn federation_stats(
             let Ok((t, _)) = fsck_journal(&bytes) else {
                 continue;
             };
-            stats.merge(&TraceStats::from_records(&t.records));
-            fold.fold(&t.records, &mut paths);
+            stats.push_records(&t.records);
+            fold.push_records(&t.records);
         }
-        Ok((stats, paths, fold))
+        Ok((stats, fold))
     });
-    let mut global_stats = TraceStats::default();
-    let mut global_paths = Interner::new();
-    let mut global_fold: std::collections::HashMap<_, PathStats> = Default::default();
+    let mut global_stats = StatsFold::new();
+    let mut global_fold = PathFold::new();
     for local in locals {
-        let (stats, paths, fold) = local?;
+        let (stats, fold) = local?;
         global_stats.merge(&stats);
-        let remap = global_paths.absorb(&paths);
-        for (sym, ps) in fold.stats {
-            let e = global_fold
-                .entry(remap[sym.id() as usize])
-                .or_insert_with(PathStats::default);
-            e.ops += ps.ops;
-            e.bytes += ps.bytes;
-            e.time += ps.time;
-        }
+        global_fold.merge(&fold);
     }
-    let hotspots = top_by_bytes_interned(&global_fold, &global_paths, top)
-        .into_iter()
-        .map(|(sym, s)| (global_paths.resolve(sym).to_string(), s))
-        .collect();
-    Ok((global_stats, hotspots))
+    Ok((global_stats.finish(), global_fold.top(top)))
 }
 
 #[cfg(test)]
@@ -1067,6 +1057,15 @@ mod tests {
         let (stats, hot) = federation_stats(&root, 5).unwrap();
         assert_eq!(stats.records, 4 * 96);
         assert!(!hot.is_empty());
+        // percentiles included: one fold over every journal's records
+        let mut all = Vec::new();
+        for dir in [&da, &db] {
+            for name in spool_journals(dir).unwrap() {
+                let bytes = std::fs::read(dir.join(name)).unwrap();
+                all.extend(read_journal(&bytes).unwrap().records);
+            }
+        }
+        assert_eq!(stats, TraceStats::from_records(&all));
         // identical to folding a single-collector run of the same inputs
         let ds = tmpdir("queries-base");
         run_soak(&ds, &cfg.soak, &FaultPlan::clean(), None).unwrap();
@@ -1074,8 +1073,7 @@ mod tests {
         std::fs::create_dir_all(&sroot).unwrap();
         std::fs::rename(&ds, sroot.join("only")).unwrap();
         let (bstats, bhot) = federation_stats(&sroot, 5).unwrap();
-        assert_eq!(stats.records, bstats.records);
-        assert_eq!(stats.bytes_written, bstats.bytes_written);
+        assert_eq!(stats, bstats);
         let hot_named: Vec<_> = hot.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
         let bhot_named: Vec<_> = bhot.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
         assert_eq!(hot_named, bhot_named);

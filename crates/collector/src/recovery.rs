@@ -22,7 +22,9 @@
 //! journals, cards, and `merged.digest`. Every rewrite goes through
 //! [`write_atomic`], so a crash during recovery leaves each file either
 //! as it was or as recovered — never truncated, never losing the sealed
-//! prefix recovery exists to save.
+//! prefix recovery exists to save. The crash may leave a `<name>.tmp`
+//! beside the file; the next recovery deletes it and ends byte-identical
+//! to a recovery that never crashed.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -34,7 +36,7 @@ use iotrace_model::journal::{
     encode_journal_versioned, fsck_journal, journal_version, read_journal, records_digest,
 };
 
-use crate::session::{write_atomic, SessionCard, SessionState};
+use crate::session::{remove_temp_files, write_atomic, SessionCard, SessionState};
 
 /// One journal's recovery outcome.
 #[derive(Clone, Debug)]
@@ -170,8 +172,10 @@ pub(crate) fn read_card(dir: &Path, journal_name: &str) -> Option<SessionCard> {
 /// sessions are left byte-for-byte untouched; orphans are fscked,
 /// rewritten as clean journals with exact completeness stamped, and
 /// their cards updated. Writes `merged.digest` describing the merged
-/// record stream of the whole spool.
+/// record stream of the whole spool. Temp files left by a crash inside
+/// an earlier recovery's [`write_atomic`] are deleted first.
 pub fn recover_spool(dir: &Path, segment_records: usize) -> Result<RecoveryReport, String> {
+    remove_temp_files(dir)?;
     let names = spool_journals(dir)?;
     let mut rows = Vec::new();
     let mut traces: BTreeMap<u32, Trace> = BTreeMap::new();

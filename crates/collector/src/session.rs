@@ -211,6 +211,20 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     File::open(dir).and_then(|d| d.sync_all()).map_err(err)
 }
 
+/// Delete the `*.tmp` files that a crash inside [`write_atomic`] left
+/// in `dir`. The crash came before the rename, so the file each one was
+/// replacing is intact; recovery rewrites it again if it must.
+pub(crate) fn remove_temp_files(dir: &Path) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("clean {}: {e}", dir.display());
+    for entry in std::fs::read_dir(dir).map_err(err)? {
+        let path = entry.map_err(err)?.path();
+        if path.extension().is_some_and(|x| x == "tmp") && path.is_file() {
+            std::fs::remove_file(&path).map_err(err)?;
+        }
+    }
+    Ok(())
+}
+
 /// Completeness of `sealed` records against a declared expectation:
 /// exact when the client declared one, 1.0 while nothing says otherwise.
 fn completeness(sealed: u64, expected: u64) -> f64 {

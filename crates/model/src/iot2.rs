@@ -370,23 +370,6 @@ impl Frame {
         matches!(self.op, 3 | 5 | 18 | 24)
     }
 
-    /// open/MPI_File_open: binds `result` as an fd on success.
-    pub fn is_open(&self) -> bool {
-        matches!(self.op, 0 | 16)
-    }
-
-    /// close/MPI_File_close: releases `fd`.
-    pub fn is_close(&self) -> bool {
-        matches!(self.op, 1 | 17)
-    }
-
-    /// Ops hotspot analysis attributes to a path via the open-fd table
-    /// (the exact v1 set: read/write/pread/pwrite/lseek/fsync/MPI
-    /// read_at/write_at — notably *not* fcntl).
-    pub fn attributes_via_fd(&self) -> bool {
-        matches!(self.op, 2..=7 | 18 | 19)
-    }
-
     pub fn is_error(&self) -> bool {
         self.result < 0
     }

@@ -281,11 +281,6 @@ impl JournalWriter {
         self.pending.len()
     }
 
-    /// The durable journal bytes: header plus sealed segments only.
-    pub fn sealed_bytes(&self) -> &[u8] {
-        &self.buf
-    }
-
     /// Seal everything pending and return the finished journal.
     pub fn finish(mut self) -> Vec<u8> {
         self.seal_segment();
@@ -299,31 +294,6 @@ impl JournalWriter {
         let mut out = self.buf.clone();
         out.extend_from_slice(&torn_tail(&self.pending, self.version));
         out
-    }
-
-    /// Resume an incremental writer over an existing *clean* sealed
-    /// journal — what a migration destination does once the last handoff
-    /// chunk lands: the shipped bytes become the durable buffer and
-    /// appends continue past the shipped watermark, in the shipped
-    /// container version. Strict by design: torn or damaged bytes are
-    /// refused, because a collector must never vouch for a spool it
-    /// cannot fully verify.
-    pub fn resume(bytes: Vec<u8>, segment_records: usize) -> Result<JournalWriter, JournalError> {
-        let version = journal_version(&bytes).ok_or(JournalError::BadMagic)?;
-        let (_, rep) = fsck_journal(&bytes)?;
-        if rep.is_damaged() {
-            return Err(JournalError::Torn {
-                offset: bytes.len() - rep.torn_tail_bytes,
-            });
-        }
-        Ok(JournalWriter {
-            buf: bytes,
-            pending: Vec::new(),
-            segment_records: segment_records.max(1),
-            sealed_segments: rep.segments_recovered,
-            sealed_records: rep.records_recovered,
-            version,
-        })
     }
 }
 
@@ -775,10 +745,6 @@ mod tests {
         assert_eq!(w.sealed_segments(), 2);
         assert_eq!(w.sealed_records(), 8);
         assert_eq!(w.pending_records(), 2);
-        // Sealed bytes alone are a valid journal holding the sealed prefix.
-        let sealed = w.sealed_bytes().to_vec();
-        let partial = read_journal(&sealed).unwrap();
-        assert_eq!(partial.records.as_slice(), &t.records[..8]);
         let full = read_journal(&w.finish()).unwrap();
         assert_eq!(full, t);
     }
@@ -814,46 +780,6 @@ mod tests {
         assert!(matches!(err, JournalError::Torn { .. }));
         assert!(matches!(
             split_journal(b"junk"),
-            Err(JournalError::BadMagic)
-        ));
-    }
-
-    #[test]
-    fn resume_continues_a_sealed_prefix_byte_identically() {
-        for version in [1u8, 2] {
-            let t = sample(24);
-            let mut first = if version == 2 {
-                JournalWriter::new_v2(&t.meta, 8)
-            } else {
-                JournalWriter::new(&t.meta, 8)
-            };
-            first.append_all(&t.records[..16]);
-            let shipped = first.sealed_bytes().to_vec();
-            let mut resumed = JournalWriter::resume(shipped, 8).expect("clean bytes resume");
-            assert_eq!(resumed.version(), version);
-            assert_eq!(resumed.sealed_records(), 16);
-            assert_eq!(resumed.sealed_segments(), 2);
-            resumed.append_all(&t.records[16..]);
-            let oneshot = encode_journal_versioned(&t, 8, version);
-            assert_eq!(
-                resumed.finish(),
-                oneshot,
-                "v{version}: a resumed writer emits what one writer would have"
-            );
-        }
-    }
-
-    #[test]
-    fn resume_refuses_torn_or_damaged_bytes() {
-        let t = sample(20);
-        let mut w = JournalWriter::new(&t.meta, 8);
-        w.append_all(&t.records);
-        let Err(err) = JournalWriter::resume(w.torn(), 8) else {
-            panic!("resume accepted torn bytes");
-        };
-        assert!(matches!(err, JournalError::Torn { .. }));
-        assert!(matches!(
-            JournalWriter::resume(b"IOTK".to_vec(), 8),
             Err(JournalError::BadMagic)
         ));
     }
