@@ -26,8 +26,6 @@ use iotrace_sim::time::{SimDur, SimTime};
 
 use crate::crc::crc32;
 use crate::event::{IoCall, Trace, TraceMeta, TraceRecord};
-use crate::intern::Interner;
-use crate::iot2::Frame;
 use crate::lzss;
 use crate::salvage::{SalvageReport, TraceError};
 use crate::varint::{put_bytes, put_i64, put_str, put_u64, Cursor, VarintError};
@@ -279,10 +277,8 @@ fn encode_record(out: &mut Vec<u8>, r: &TraceRecord, prev_ts: &mut u64, fc: &Fie
 }
 
 /// One record parsed off the v1 wire with paths still borrowed from the
-/// input buffer (owned only when they had to be decrypted). This is the
-/// decode boundary: materialize with [`RawRecord::into_record`] (one
-/// `String` per path, as before), or intern with [`RawRecord::to_frame`]
-/// so hot loops never allocate per record.
+/// input buffer (owned only when they had to be decrypted); materialize
+/// with [`RawRecord::into_record`].
 struct RawRecord<'a> {
     tag: u8,
     ts: u64,
@@ -401,29 +397,6 @@ impl RawRecord<'_> {
             call,
             result: self.result,
         })
-    }
-
-    /// Build a zero-allocation [`Frame`]: paths go straight from the
-    /// borrowed wire bytes into the caller's interner.
-    fn to_frame(&self, paths: &mut Interner, meta: &TraceMeta) -> Frame {
-        Frame {
-            op: self.tag,
-            rank: meta.rank,
-            node: meta.node,
-            fd: self.fd,
-            ts: SimTime::from_nanos(self.ts),
-            dur: SimDur::from_nanos(self.dur),
-            result: self.result,
-            offset: self.offset,
-            len: self.len,
-            path: self.path_a.as_deref().map(|s| paths.intern(s)),
-            path2: self.path_b.as_deref().map(|s| paths.intern(s)),
-            x: self.x,
-            y: self.y,
-            pid: self.pid,
-            uid: self.uid,
-            gid: self.gid,
-        }
     }
 }
 
@@ -721,69 +694,6 @@ fn decode_impl(bytes: &[u8], key: Option<&Key>, salvage: bool) -> Result<Salvage
     })
 }
 
-/// Strict streaming decode that never materializes a
-/// `Vec<TraceRecord>`: each record is parsed with its paths still
-/// borrowed from the wire, interned into `paths`, and handed to `sink`
-/// as a zero-allocation [`Frame`]. This is the v1 side of the interner
-/// boundary — analysis folds that previously paid one `String` per
-/// record path now pay one interner hit per record and one allocation
-/// per *distinct* path.
-pub fn decode_binary_fold(
-    bytes: &[u8],
-    key: Option<&Key>,
-    paths: &mut Interner,
-    mut sink: impl FnMut(Frame),
-) -> Result<TraceMeta, BinError> {
-    let (hdr, mut c) = parse_header(bytes, key)?;
-    let encrypted = hdr.flags & FLAG_ENC != 0;
-    let sel = if encrypted {
-        hdr.field_sel
-    } else {
-        FieldSel::NONE
-    };
-    let use_key = if encrypted { key } else { None };
-    let mut emitted = 0usize;
-    let mut prev_ts = 0u64;
-    let mut seq = 0u64;
-    let mut block_idx = 0usize;
-    while emitted < hdr.n_records {
-        let plen = c.get_u64()? as usize;
-        let stored_crc = if hdr.flags & FLAG_CRC != 0 {
-            let b = c.take(4)?;
-            Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-        } else {
-            None
-        };
-        let payload = c.take(plen)?;
-        if let Some(crc) = stored_crc {
-            if crc32(payload) != crc {
-                return Err(BinError::ChecksumMismatch { block: block_idx });
-            }
-        }
-        let decompressed;
-        let payload: &[u8] = if hdr.flags & FLAG_LZSS != 0 {
-            decompressed = lzss::decompress(payload).map_err(|_| BinError::Decompress)?;
-            &decompressed
-        } else {
-            payload
-        };
-        let mut pc = Cursor::new(payload);
-        while !pc.is_empty() && emitted < hdr.n_records {
-            let fc = FieldCipher {
-                key: use_key,
-                sel,
-                seq,
-            };
-            let raw = decode_record_raw(&mut pc, &mut prev_ts, &fc)?;
-            sink(raw.to_frame(paths, &hdr.meta));
-            emitted += 1;
-            seq += 1;
-        }
-        block_idx += 1;
-    }
-    Ok(hdr.meta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1077,64 +987,6 @@ mod tests {
             decode_binary_salvage(&bytes, None).unwrap_err(),
             BinError::KeyRequired
         );
-    }
-
-    #[test]
-    fn fold_decode_matches_materializing_decode() {
-        let t = sample();
-        let key = Key::from_passphrase("k");
-        for opts in [
-            BinaryOptions::default(),
-            BinaryOptions {
-                checksum: true,
-                compress: true,
-                block_records: 16,
-                ..Default::default()
-            },
-            BinaryOptions {
-                encrypt: Some((key, FieldSel::ALL)),
-                ..Default::default()
-            },
-        ] {
-            let use_key = opts.encrypt.map(|(k, _)| k);
-            let bytes = encode_binary(&t, &opts);
-            let mut paths = Interner::new();
-            let mut frames = Vec::new();
-            let meta = decode_binary_fold(&bytes, use_key.as_ref(), &mut paths, |f| frames.push(f))
-                .unwrap();
-            assert_eq!(meta, t.meta);
-            assert_eq!(frames.len(), t.records.len());
-            let records: Vec<TraceRecord> = frames
-                .iter()
-                .map(|f| {
-                    f.to_record(|sym| Some(paths.resolve(sym).to_string()))
-                        .unwrap()
-                })
-                .collect();
-            assert_eq!(records, t.records);
-            // Distinct paths only (40 open targets + shared + rename
-            // pair): the whole point of the fold boundary.
-            assert_eq!(paths.len(), 43);
-        }
-    }
-
-    #[test]
-    fn fold_decode_is_strict() {
-        let t = sample();
-        let mut bytes = encode_binary(
-            &t,
-            &BinaryOptions {
-                checksum: true,
-                ..Default::default()
-            },
-        );
-        let n = bytes.len();
-        bytes[n - 10] ^= 0xFF;
-        let mut paths = Interner::new();
-        assert!(matches!(
-            decode_binary_fold(&bytes, None, &mut paths, |_| {}),
-            Err(BinError::ChecksumMismatch { .. })
-        ));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use iotrace_sim::time::{SimDur, SimTime};
 use crate::crc::fnv1a64_wide;
 use crate::event::{CallLayer, IoCall, Trace, TraceMeta, TraceRecord};
 use crate::fasthash::FxHashMap;
-use crate::intern::{Interner, Sym};
+use crate::intern::Sym;
 use crate::journal::{get_meta, put_meta};
 use crate::salvage::{SalvageReport, TraceError};
 use crate::varint::{put_str, put_u64, unzigzag, zigzag, Cursor};
@@ -524,7 +524,7 @@ fn parse_frame(
 }
 
 /// String-table builder: deduplicates paths in first-reference order
-/// (the same order an [`Interner`] would assign, which is what lets a
+/// (the same order an [`Interner`](crate::intern::Interner) would assign, which is what lets a
 /// view hand out `Sym`s that *are* table indices). Built inline while
 /// the body is encoded, so encode is a single pass over the records.
 #[derive(Default)]
@@ -808,13 +808,6 @@ impl<'a> Iot2View<'a> {
     /// Resolve a frame's path symbol against the view's table.
     pub fn resolve(&self, sym: Sym) -> Option<&'a str> {
         self.table.get(sym.id() as usize).copied()
-    }
-
-    /// Intern every table string into `paths` and return the mapping
-    /// `table id -> caller symbol`, so folds re-key frames with one
-    /// indexed load per record instead of a hash per record.
-    pub fn map_syms(&self, paths: &mut Interner) -> Vec<Sym> {
-        self.table.iter().map(|s| paths.intern(s)).collect()
     }
 
     /// Check all three digests. Requires the trailer (a salvage view of
@@ -1165,23 +1158,6 @@ mod tests {
         }
         assert_eq!(bytes_moved, t.total_bytes());
         assert_eq!(errors, t.records.iter().filter(|r| r.result < 0).count());
-    }
-
-    #[test]
-    fn map_syms_rekeys_into_caller_interner() {
-        let t = sample();
-        let bytes = encode_iot2(&t).unwrap();
-        let view = Iot2View::open(&bytes).unwrap();
-        let mut paths = Interner::new();
-        paths.intern("/pre-existing"); // offset the ids
-        let map = view.map_syms(&mut paths);
-        for f in view.frames() {
-            let f = f.unwrap();
-            if let Some(sym) = f.path {
-                let via_map = paths.resolve(map[sym.id() as usize]);
-                assert_eq!(Some(via_map), view.resolve(sym));
-            }
-        }
     }
 
     #[test]

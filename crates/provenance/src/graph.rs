@@ -115,17 +115,35 @@ pub struct LineageGraph {
     pub orphans: Vec<OrphanSpan>,
     paths: Interner,
     hb: HbIndex,
-    /// Final contents attribution per path: byte range -> writer node.
-    finals: BTreeMap<Sym, RangeMap>,
+    /// Final contents attribution per path, indexed by symbol id: byte
+    /// range -> writer node; `None` for a path no access touched.
+    finals: Vec<Option<RangeMap>>,
     in_edges: Vec<Vec<u32>>,
     out_edges: Vec<Vec<u32>>,
-    /// Read / write / dep-target / dep-source node ids per rank, sorted
-    /// by record index (the rank-local traversal indexes).
-    reads_by_rank: BTreeMap<u32, Vec<NodeId>>,
-    writes_by_rank: BTreeMap<u32, Vec<NodeId>>,
-    dep_targets_by_rank: BTreeMap<u32, Vec<NodeId>>,
-    dep_sources_by_rank: BTreeMap<u32, Vec<NodeId>>,
+    /// Read nodes per path, indexed by symbol id, in node-id order.
+    reads_by_path: Vec<Vec<NodeId>>,
+    ranks: BTreeMap<u32, RankIndex>,
 }
+
+/// The rank-local traversal indexes of one rank: node ids sorted by
+/// record index.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct RankIndex {
+    /// Every node of the rank, whatever its kind.
+    pub(crate) nodes: Vec<NodeId>,
+    pub(crate) reads: Vec<NodeId>,
+    pub(crate) writes: Vec<NodeId>,
+    pub(crate) dep_targets: Vec<NodeId>,
+    pub(crate) dep_sources: Vec<NodeId>,
+}
+
+static NO_RANK: RankIndex = RankIndex {
+    nodes: Vec::new(),
+    reads: Vec::new(),
+    writes: Vec::new(),
+    dep_targets: Vec::new(),
+    dep_sources: Vec::new(),
+};
 
 impl LineageGraph {
     /// Build the graph with one extraction worker per core.
@@ -161,7 +179,8 @@ impl LineageGraph {
         // 2. Serial: remap local symbols into one global interner, in
         //    input trace order — deterministic ids.
         let mut paths = Interner::new();
-        let mut accesses: Vec<(Access, &'static str)> = Vec::new();
+        let mut accesses: Vec<(Access, &'static str)> =
+            Vec::with_capacity(extracted.iter().map(|(acc, _, _)| acc.len()).sum());
         for (acc, strings, names) in &extracted {
             let remap: Vec<Sym> = strings.iter().map(|s| paths.intern(s)).collect();
             accesses.extend(acc.iter().zip(names).map(|(a, &name)| {
@@ -196,14 +215,19 @@ impl LineageGraph {
     pub fn final_segments(&self, path: &str) -> Vec<(u64, u64, NodeId)> {
         self.paths
             .get(path)
-            .and_then(|sym| self.finals.get(&sym))
+            .and_then(|sym| self.finals.get(sym.id() as usize)?.as_ref())
             .map(|m| m.segments().collect())
             .unwrap_or_default()
     }
 
     /// Every path with at least one access, in lexicographic order.
     pub fn known_paths(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.finals.keys().map(|&s| self.paths.resolve(s)).collect();
+        let mut v: Vec<&str> = self
+            .paths
+            .iter()
+            .filter(|(sym, _)| self.finals[sym.id() as usize].is_some())
+            .map(|(_, path)| path)
+            .collect();
         v.sort_unstable();
         v
     }
@@ -220,45 +244,17 @@ impl LineageGraph {
             .map(|&i| &self.edges[i as usize])
     }
 
-    pub(crate) fn reads_of_rank(&self, rank: u32) -> &[NodeId] {
-        self.reads_by_rank
-            .get(&rank)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    pub(crate) fn writes_of_rank(&self, rank: u32) -> &[NodeId] {
-        self.writes_by_rank
-            .get(&rank)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    pub(crate) fn dep_targets_of_rank(&self, rank: u32) -> &[NodeId] {
-        self.dep_targets_by_rank
-            .get(&rank)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    pub(crate) fn dep_sources_of_rank(&self, rank: u32) -> &[NodeId] {
-        self.dep_sources_by_rank
-            .get(&rank)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// The traversal indexes of `rank` (empty for a rank with no node).
+    pub(crate) fn rank_index(&self, rank: u32) -> &RankIndex {
+        self.ranks.get(&rank).unwrap_or(&NO_RANK)
     }
 
     /// All read nodes of `path`, in node-id order.
-    pub fn reads_of_path(&self, path: &str) -> Vec<NodeId> {
-        let Some(sym) = self.paths.get(path) else {
-            return Vec::new();
-        };
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.kind == NodeKind::Read && n.path == Some(sym))
-            .map(|(i, _)| i as NodeId)
-            .collect()
+    pub fn reads_of_path(&self, path: &str) -> &[NodeId] {
+        self.paths
+            .get(path)
+            .and_then(|sym| self.reads_by_path.get(sym.id() as usize))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// One-line human label for a node.
@@ -401,9 +397,11 @@ fn assemble(
     }
 
     let mut nodes: Vec<LineageNode> = Vec::with_capacity(accesses.len());
-    let mut by_loc: HashMap<(u32, usize), NodeId> = HashMap::with_capacity(accesses.len());
+    let mut reads_by_path: Vec<Vec<NodeId>> = vec![Vec::new(); paths.len()];
     for (a, op) in &accesses {
-        let id = nodes.len() as NodeId;
+        if !a.write {
+            reads_by_path[a.path.id() as usize].push(nodes.len() as NodeId);
+        }
         nodes.push(LineageNode {
             rank: a.rank,
             record: a.record,
@@ -419,13 +417,18 @@ fn assemble(
             end: a.end,
             op,
         });
-        by_loc.insert((a.rank, a.record), id);
     }
 
     // 4. Dependency endpoints that are not access nodes become `Op`
-    //    nodes, in sorted (rank, record) order for stable ids.
+    //    nodes, in sorted (rank, record) order for stable ids. Only dep
+    //    resolution looks nodes up by location, so only it builds the map.
     let mut edges: Vec<LineageEdge> = Vec::new();
     if let Some((deps, traces)) = deps_ctx {
+        let mut by_loc: HashMap<(u32, usize), NodeId> = nodes
+            .iter()
+            .enumerate()
+            .map(|(id, n)| ((n.rank, n.record), id as NodeId))
+            .collect();
         let rank_index: BTreeMap<u32, usize> = traces
             .iter()
             .enumerate()
@@ -488,29 +491,40 @@ fn assemble(
     // 5. Interval replay: writes claim ranges, reads are attributed
     //    to the covering writers; gaps in files the trace *does*
     //    produce are orphan spans.
-    let mut finals: BTreeMap<Sym, RangeMap> = BTreeMap::new();
+    let mut finals: Vec<Option<RangeMap>> = vec![None; paths.len()];
     let mut orphans: Vec<OrphanSpan> = Vec::new();
     for (i, (a, _)) in accesses.iter().enumerate() {
         let id = i as NodeId;
-        let map = finals.entry(a.path).or_default();
+        let map = finals[a.path.id() as usize].get_or_insert_with(RangeMap::new);
         if a.write {
             map.write(a.start, a.end, id);
         } else {
             if map.is_empty() {
                 continue; // pre-existing input file: no producers expected
             }
+            // One pass: covered segments are flow edges, the holes
+            // between them orphan spans.
+            let mut at = a.start;
             for (s, e, owner) in map.covered(a.start, a.end) {
+                if s > at {
+                    orphans.push(OrphanSpan {
+                        read: id,
+                        start: at,
+                        end: s,
+                    });
+                }
                 edges.push(LineageEdge {
                     from: owner,
                     to: id,
                     kind: EdgeKind::Flow { start: s, end: e },
                 });
+                at = e;
             }
-            for (s, e) in map.gaps(a.start, a.end) {
+            if at < a.end {
                 orphans.push(OrphanSpan {
                     read: id,
-                    start: s,
-                    end: e,
+                    start: at,
+                    end: a.end,
                 });
             }
         }
@@ -523,37 +537,33 @@ fn assemble(
         out_edges[e.from as usize].push(i as u32);
         in_edges[e.to as usize].push(i as u32);
     }
-    let mut reads_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-    let mut writes_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
+    let mut ranks: BTreeMap<u32, RankIndex> = BTreeMap::new();
     for (i, n) in nodes.iter().enumerate() {
-        match n.kind {
-            NodeKind::Read => reads_by_rank.entry(n.rank).or_default().push(i as NodeId),
-            NodeKind::Write => writes_by_rank.entry(n.rank).or_default().push(i as NodeId),
-            NodeKind::Op => {}
-        }
+        ranks.entry(n.rank).or_default().nodes.push(i as NodeId);
     }
-    let mut dep_targets_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-    let mut dep_sources_by_rank: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
     for e in &edges {
         if matches!(e.kind, EdgeKind::Dep { .. }) {
-            let to = &nodes[e.to as usize];
-            let from = &nodes[e.from as usize];
-            dep_targets_by_rank.entry(to.rank).or_default().push(e.to);
-            dep_sources_by_rank
-                .entry(from.rank)
-                .or_default()
-                .push(e.from);
+            let to = nodes[e.to as usize].rank;
+            let from = nodes[e.from as usize].rank;
+            ranks.entry(to).or_default().dep_targets.push(e.to);
+            ranks.entry(from).or_default().dep_sources.push(e.from);
         }
     }
-    let by_record = |nodes: &[LineageNode], v: &mut Vec<NodeId>| {
-        v.sort_by_key(|&id| nodes[id as usize].record);
-        v.dedup();
-    };
-    for v in dep_targets_by_rank.values_mut() {
-        by_record(&nodes, v);
-    }
-    for v in dep_sources_by_rank.values_mut() {
-        by_record(&nodes, v);
+    for index in ranks.values_mut() {
+        let by_record = |v: &mut Vec<NodeId>| {
+            v.sort_by_key(|&id| nodes[id as usize].record);
+            v.dedup();
+        };
+        by_record(&mut index.nodes);
+        by_record(&mut index.dep_targets);
+        by_record(&mut index.dep_sources);
+        for &id in &index.nodes {
+            match nodes[id as usize].kind {
+                NodeKind::Read => index.reads.push(id),
+                NodeKind::Write => index.writes.push(id),
+                NodeKind::Op => {}
+            }
+        }
     }
 
     LineageGraph {
@@ -565,10 +575,8 @@ fn assemble(
         finals,
         in_edges,
         out_edges,
-        reads_by_rank,
-        writes_by_rank,
-        dep_targets_by_rank,
-        dep_sources_by_rank,
+        reads_by_path,
+        ranks,
     }
 }
 

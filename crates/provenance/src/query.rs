@@ -11,10 +11,16 @@
 //! between buffers, so the sound choice is to assume it may have copied
 //! any of them.
 //!
-//! The walks are worklist closures with monotone per-rank absorption
-//! cursors, so each node and edge is handled at most once: `O(nodes +
-//! edges)` per query, deterministic output (node sets are kept sorted).
+//! The walks are worklist closures that cost time in proportion to what
+//! they return. Seeds come from indexes built with the graph (a path's
+//! reads, a rank's nodes, a file's final segments), never from a scan of
+//! every node. Monotone per-rank absorption cursors over record-sorted
+//! lists step over each absorbed node once, and the visited set is a
+//! dense bitset whose set bits are cleared through the visited list, so
+//! a query that reaches `k` nodes costs `O(k log k)` plus the edges of
+//! those nodes. Output is deterministic: node ids sorted ascending.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::graph::{LineageGraph, NodeId, NodeKind};
@@ -75,6 +81,54 @@ impl Lineage {
     }
 }
 
+thread_local! {
+    /// A visited bitset reused by every query on this thread, with every
+    /// bit clear between queries: a query clears only the bits it set,
+    /// so repeated queries (`policy-flow` runs one per sink) cost their
+    /// closures, not the graph size each time. A query that panics
+    /// never returns the set, and the next one starts from a fresh one.
+    static VISITED_BITS: Cell<Vec<u64>> = const { Cell::new(Vec::new()) };
+}
+
+/// The visited set of one walk: a dense bitset over node ids plus the
+/// visited ids in insertion order, which is also the walk's worklist.
+struct Visited {
+    bits: Vec<u64>,
+    ids: Vec<NodeId>,
+}
+
+impl Visited {
+    fn new(g: &LineageGraph) -> Self {
+        let mut bits = VISITED_BITS.take();
+        let words = g.nodes.len().div_ceil(64);
+        if bits.len() < words {
+            bits.resize(words, 0);
+        }
+        Visited {
+            bits,
+            ids: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, id: NodeId) {
+        let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if self.bits[word] & bit == 0 {
+            self.bits[word] |= bit;
+            self.ids.push(id);
+        }
+    }
+
+    fn into_lineage(self) -> Lineage {
+        let Visited { mut bits, mut ids } = self;
+        for &id in &ids {
+            bits[id as usize / 64] = 0;
+        }
+        VISITED_BITS.set(bits);
+        ids.sort_unstable();
+        Lineage { nodes: ids }
+    }
+}
+
 /// Full upstream lineage of `path`'s **final** bytes: every node whose
 /// data may have flowed into the file as the capture left it.
 /// Overwritten-then-replaced bytes do not contribute.
@@ -86,104 +140,75 @@ pub fn upstream(g: &LineageGraph, path: &str) -> Lineage {
 /// pass seeds every write to a sink path). Seeds are included in the
 /// result.
 pub fn upstream_of_nodes(g: &LineageGraph, seeds: impl IntoIterator<Item = NodeId>) -> Lineage {
-    let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-    let mut work: Vec<NodeId> = Vec::new();
-    for id in seeds {
-        if visited.insert(id) {
-            work.push(id);
-        }
-    }
+    let mut seen = Visited::new(g);
+    seeds.into_iter().for_each(|id| seen.insert(id));
     // Monotone absorption cursors: next unabsorbed index per rank.
     let mut read_ptr: BTreeMap<u32, usize> = BTreeMap::new();
     let mut dep_ptr: BTreeMap<u32, usize> = BTreeMap::new();
-    while let Some(id) = work.pop() {
+    let mut next = 0;
+    while let Some(&id) = seen.ids.get(next) {
+        next += 1;
         for e in g.in_edges(id) {
-            if visited.insert(e.from) {
-                work.push(e.from);
-            }
+            seen.insert(e.from);
         }
         let n = g.nodes[id as usize];
         if matches!(n.kind, NodeKind::Write | NodeKind::Op) {
             // Anything this rank read strictly before the write, and any
             // dep edge it waited on at or before it, may be in the data.
-            let reads = g.reads_of_rank(n.rank);
+            let rank = g.rank_index(n.rank);
             let ptr = read_ptr.entry(n.rank).or_insert(0);
-            while *ptr < reads.len() && g.nodes[reads[*ptr] as usize].record < n.record {
-                if visited.insert(reads[*ptr]) {
-                    work.push(reads[*ptr]);
-                }
+            while *ptr < rank.reads.len() && g.nodes[rank.reads[*ptr] as usize].record < n.record {
+                seen.insert(rank.reads[*ptr]);
                 *ptr += 1;
             }
-            let targets = g.dep_targets_of_rank(n.rank);
             let ptr = dep_ptr.entry(n.rank).or_insert(0);
-            while *ptr < targets.len() && g.nodes[targets[*ptr] as usize].record <= n.record {
-                if visited.insert(targets[*ptr]) {
-                    work.push(targets[*ptr]);
-                }
+            while *ptr < rank.dep_targets.len()
+                && g.nodes[rank.dep_targets[*ptr] as usize].record <= n.record
+            {
+                seen.insert(rank.dep_targets[*ptr]);
                 *ptr += 1;
             }
         }
     }
-    Lineage {
-        nodes: visited.into_iter().collect(),
-    }
+    seen.into_lineage()
 }
 
 /// Everything downstream of `source`: nodes whose data may contain
 /// bytes the source produced or touched.
 pub fn taint(g: &LineageGraph, source: &TaintSource) -> Lineage {
-    let mut visited: BTreeSet<NodeId> = BTreeSet::new();
-    let mut work: Vec<NodeId> = Vec::new();
-    match source {
-        TaintSource::Rank(rank) => {
-            for (i, n) in g.nodes.iter().enumerate() {
-                if n.rank == *rank && visited.insert(i as NodeId) {
-                    work.push(i as NodeId);
-                }
-            }
-        }
-        TaintSource::Path(path) => {
-            for id in g.reads_of_path(path) {
-                if visited.insert(id) {
-                    work.push(id);
-                }
-            }
-        }
-    }
+    let mut seen = Visited::new(g);
+    let seeds = match source {
+        TaintSource::Rank(rank) => g.rank_index(*rank).nodes.as_slice(),
+        TaintSource::Path(path) => g.reads_of_path(path),
+    };
+    seeds.iter().for_each(|&id| seen.insert(id));
     // Absorption cursors walking per-rank lists from the end downward.
     let mut write_ptr: BTreeMap<u32, usize> = BTreeMap::new();
     let mut dep_ptr: BTreeMap<u32, usize> = BTreeMap::new();
-    while let Some(id) = work.pop() {
+    let mut next = 0;
+    while let Some(&id) = seen.ids.get(next) {
+        next += 1;
         for e in g.out_edges(id) {
-            if visited.insert(e.to) {
-                work.push(e.to);
-            }
+            seen.insert(e.to);
         }
         let n = g.nodes[id as usize];
         if matches!(n.kind, NodeKind::Read | NodeKind::Op) {
             // Data received here may be in every later write by this
             // rank, and may ride out over every later dep edge it sources.
-            let writes = g.writes_of_rank(n.rank);
-            let ptr = write_ptr.entry(n.rank).or_insert(writes.len());
-            while *ptr > 0 && g.nodes[writes[*ptr - 1] as usize].record > n.record {
+            let rank = g.rank_index(n.rank);
+            let ptr = write_ptr.entry(n.rank).or_insert(rank.writes.len());
+            while *ptr > 0 && g.nodes[rank.writes[*ptr - 1] as usize].record > n.record {
                 *ptr -= 1;
-                if visited.insert(writes[*ptr]) {
-                    work.push(writes[*ptr]);
-                }
+                seen.insert(rank.writes[*ptr]);
             }
-            let sources = g.dep_sources_of_rank(n.rank);
-            let ptr = dep_ptr.entry(n.rank).or_insert(sources.len());
-            while *ptr > 0 && g.nodes[sources[*ptr - 1] as usize].record >= n.record {
+            let ptr = dep_ptr.entry(n.rank).or_insert(rank.dep_sources.len());
+            while *ptr > 0 && g.nodes[rank.dep_sources[*ptr - 1] as usize].record >= n.record {
                 *ptr -= 1;
-                if visited.insert(sources[*ptr]) {
-                    work.push(sources[*ptr]);
-                }
+                seen.insert(rank.dep_sources[*ptr]);
             }
         }
     }
-    Lineage {
-        nodes: visited.into_iter().collect(),
-    }
+    seen.into_lineage()
 }
 
 /// Deterministic human rendering of an upstream query.

@@ -3,9 +3,10 @@
 //! One [`RangeMap`] per file tracks disjoint, half-open segments
 //! `[start, end) -> owner`. A write overwrites (splitting partially
 //! covered segments); a read query returns every owning segment it
-//! overlaps plus any uncovered gaps. Both operations are `O(log n +
-//! touched)` on a `BTreeMap` keyed by segment start, so a trace that
-//! rewrites the same extents millions of times stays cheap.
+//! overlaps, and the caller reads the uncovered gaps off the holes
+//! between them. Both operations are `O(log n + touched)` on a
+//! `BTreeMap` keyed by segment start, so a trace that rewrites the same
+//! extents millions of times stays cheap.
 
 use std::collections::BTreeMap;
 
@@ -31,61 +32,56 @@ impl RangeMap {
         if start >= end {
             return;
         }
-        // A predecessor segment may straddle `start`: split it.
-        if let Some((&s, &(e, o))) = self.segs.range(..start).next_back() {
-            if e > start {
-                self.segs.insert(s, (start, o));
-                if e > end {
-                    self.segs.insert(end, (e, o));
-                }
+        // Segments starting inside (start, end): consumed; a tail
+        // extending past `end` is re-inserted at `end`, outside the range.
+        while let Some((&s, &(e, o))) = self.segs.range(start + 1..end).next() {
+            self.segs.remove(&s);
+            if e > end {
+                self.segs.insert(end, (e, o));
             }
         }
-        // Segments starting inside [start, end): consumed; a tail
-        // extending past `end` is re-inserted.
-        let inside: Vec<u64> = self.segs.range(start..end).map(|(&s, _)| s).collect();
-        for s in inside {
-            if let Some((e, o)) = self.segs.remove(&s) {
-                if e > end {
-                    self.segs.insert(end, (e, o));
-                }
+        // The segment holding `start`, if any: one starting there is
+        // overwritten in place, a predecessor straddling it is cut short.
+        let held = match self.segs.range_mut(..=start).next_back() {
+            Some((&s, seg)) if seg.0 > start => {
+                let old = *seg;
+                *seg = if s == start {
+                    (end, owner)
+                } else {
+                    (start, old.1)
+                };
+                Some((s, old))
+            }
+            _ => None,
+        };
+        if held.is_none_or(|(s, _)| s != start) {
+            self.segs.insert(start, (end, owner));
+        }
+        // Its part past `end` survives.
+        if let Some((_, (e, o))) = held {
+            if e > end {
+                self.segs.insert(end, (e, o));
             }
         }
-        self.segs.insert(start, (end, owner));
     }
 
     /// Segments of `[start, end)` with a recorded owner, in offset order:
-    /// `(overlap_start, overlap_end, owner)`.
-    pub fn covered(&self, start: u64, end: u64) -> Vec<(u64, u64, u32)> {
-        if start >= end {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
+    /// `(overlap_start, overlap_end, owner)`. The ranges between them
+    /// are the sub-ranges nobody wrote.
+    pub fn covered(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+        let end = end.max(start);
         // Predecessor straddling `start` contributes its tail.
-        if let Some((_, &(e, o))) = self.segs.range(..start).next_back() {
-            if e > start {
-                out.push((start, e.min(end), o));
-            }
-        }
-        for (&s, &(e, o)) in self.segs.range(start..end) {
-            out.push((s, e.min(end), o));
-        }
-        out
-    }
-
-    /// Sub-ranges of `[start, end)` with *no* recorded owner, in order.
-    pub fn gaps(&self, start: u64, end: u64) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        let mut at = start;
-        for (s, e, _) in self.covered(start, end) {
-            if s > at {
-                out.push((at, s));
-            }
-            at = at.max(e);
-        }
-        if at < end {
-            out.push((at, end));
-        }
-        out
+        let head = self
+            .segs
+            .range(..start)
+            .next_back()
+            .filter(|&(_, &(e, _))| e > start && start < end)
+            .map(move |(_, &(e, o))| (start, e.min(end), o));
+        let inside = self
+            .segs
+            .range(start..end)
+            .map(move |(&s, &(e, o))| (s, e.min(end), o));
+        head.into_iter().chain(inside)
     }
 
     /// Every live segment, in offset order (the file's final producers).
@@ -108,7 +104,7 @@ mod tests {
             vec![(0, 40, 1), (40, 60, 2), (60, 100, 1)]
         );
         assert_eq!(
-            m.covered(30, 70),
+            m.covered(30, 70).collect::<Vec<_>>(),
             vec![(30, 40, 1), (40, 60, 2), (60, 70, 1)]
         );
     }
@@ -123,13 +119,20 @@ mod tests {
     }
 
     #[test]
-    fn gaps_are_reported() {
+    fn covered_leaves_the_gaps_uncovered() {
         let mut m = RangeMap::new();
         m.write(10, 20, 1);
         m.write(30, 40, 2);
-        assert_eq!(m.gaps(0, 50), vec![(0, 10), (20, 30), (40, 50)]);
-        assert!(m.gaps(12, 18).is_empty());
-        assert_eq!(m.gaps(0, 5), vec![(0, 5)]);
+        assert_eq!(
+            m.covered(0, 50).collect::<Vec<_>>(),
+            vec![(10, 20, 1), (30, 40, 2)]
+        );
+        assert_eq!(m.covered(12, 18).collect::<Vec<_>>(), vec![(12, 18, 1)]);
+        assert_eq!(m.covered(0, 5).count(), 0);
+        assert_eq!(
+            m.covered(15, 35).collect::<Vec<_>>(),
+            vec![(15, 20, 1), (30, 35, 2)]
+        );
     }
 
     #[test]
@@ -139,7 +142,7 @@ mod tests {
         m.write(10, 20, 2);
         m.write(15, 18, 3);
         assert_eq!(
-            m.covered(0, 100),
+            m.covered(0, 100).collect::<Vec<_>>(),
             vec![
                 (0, 10, 1),
                 (10, 15, 2),
@@ -155,6 +158,9 @@ mod tests {
         let mut m = RangeMap::new();
         m.write(5, 5, 1);
         assert!(m.is_empty());
-        assert!(m.covered(0, 0).is_empty());
+        assert_eq!(m.covered(0, 0).count(), 0);
+        m.write(0, 10, 2);
+        assert_eq!(m.covered(5, 5).count(), 0);
+        assert_eq!(m.covered(7, 3).count(), 0);
     }
 }
